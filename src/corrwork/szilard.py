@@ -16,7 +16,8 @@ W is concave in x with its maximum at x = 1 - eps, where it equals
 ln 2 - h2(eps): exactly the mutual information of the bit, so the optimal
 protocol converts the whole correlation into work and no choice of x can
 do better.  eps = 0 pushes the optimum to the boundary x = 1 (plain
-expansion from half the box to all of it, worth ln 2).
+expansion from half the box to all of it, worth ln 2); so does any eps
+small enough that 1 - eps rounds to 1.
 
 simulate() runs the cycle as a Monte Carlo over bit correctness with the
 repo's counter-based stream, so results are reproducible from the seed
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .information import LN2
+from .information import LN2, binary_entropy
 from .rng import RandomStream
 
 _CHUNK = 1 << 20
@@ -91,26 +92,17 @@ def optimal_partition(epsilon: float) -> PartitionOptimum:
     """Work-maximizing partition fraction x = 1 - eps and its yield.
 
     The yield equals ln 2 - h2(eps), the mutual information of the memory
-    bit, so the optimal cycle saturates the correlation-work bound.  The
-    stationarity of the returned point is re-checked numerically via the
-    sign change of dW/dx.  eps = 0 has no interior optimum; the supremum
-    sits at the boundary x = 1 with yield ln 2 and is flagged as such.
+    bit, so the optimal cycle saturates the correlation-work bound.  When
+    1 - eps rounds to 1 (eps = 0 included) there is no representable
+    interior optimum: the supremum ln 2 - h2(eps) sits at the boundary
+    x = 1 and is flagged as such.
     """
     if not (0.0 <= epsilon <= 0.5):
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1/2]")
-    if epsilon == 0.0:
-        return PartitionOptimum(x_opt=1.0, w_opt_kT=LN2, boundary=True)
-
     x_opt = 1.0 - epsilon
-
-    def slope(x: float) -> float:
-        return (1.0 - epsilon) / x - epsilon / (1.0 - x)
-
-    h = min(1e-6, epsilon / 2.0, (1.0 - epsilon) / 2.0)
-    if not (slope(x_opt - h) > 0.0 > slope(x_opt + h)):
-        raise ArithmeticError(
-            f"no derivative sign change around x = {x_opt} for eps = {epsilon}"
-        )
+    if x_opt == 1.0:
+        return PartitionOptimum(x_opt=1.0, w_opt_kT=LN2 - binary_entropy(epsilon),
+                                boundary=True)
     return PartitionOptimum(x_opt=x_opt, w_opt_kT=expected_work(epsilon, x_opt))
 
 

@@ -8,6 +8,7 @@ compare package output against these routes.
 
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -18,6 +19,22 @@ def h2_direct(p: float) -> float:
         if q > 0.0:
             total -= q * math.log(q)
     return total
+
+
+def mutual_information_mp(e: float) -> float:
+    """I(E) = [(1+E) ln(1+E) + (1-E) ln(1-E)] / 2 in mpmath, rounded to a float.
+
+    The working precision grows with -log10|E|, so that 1 +- E keeps every
+    digit of E and the E^2/2 left after cancellation is still exact to
+    ~40 digits.
+    """
+    if e == 0.0:
+        return 0.0
+    if abs(e) == 1.0:
+        return math.log(2.0)
+    with mpmath.workdps(40 + 2 * int(-math.log10(abs(e)))):
+        x = mpmath.mpf(e)
+        return float(((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / 2)
 
 
 def shannon_mutual_information(cells) -> float:

@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from corrwork import cli
 from corrwork.information import LN2, binary_entropy
 from corrwork.laws import CorrelationLaw
+from corrwork.nonlocality import chsh_value
+from corrwork.rng import RandomStream
 
 from oracles import h2_direct
 
@@ -91,13 +97,52 @@ class TestSweep:
         assert raw.endswith(b"\n")
 
     def test_in_memory_rows_meet_tight_tolerance(self):
-        table = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1001)
-        for theta, e, i_nats, _ in table.rows:
+        rows = list(cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1001))
+        assert len(rows) == 1001
+        for theta, e, i_nats, _ in rows:
             assert abs(i_nats - (LN2 - binary_entropy((1.0 + e) / 2.0))) < 1e-12
-        thetas = [row[0] for row in table.rows]
+        thetas = [row[0] for row in rows]
         assert all(a < b for a, b in zip(thetas, thetas[1:]))
-        assert table.law_name == "quantum"
-        assert table.steps == 1001
+
+    @pytest.mark.parametrize("law", ["classical", "quantum"])
+    def test_work_is_never_negative_near_half_pi(self, capsys, tmp_path, law):
+        out = tmp_path / "near.csv"
+        code, _, _ = run(capsys, "sweep", "--law", law,
+                         "--theta-min", repr(math.pi / 2.0 - 1e-6),
+                         "--theta-max", repr(math.pi / 2.0 + 1e-6),
+                         "--steps", "20001", "--out", str(out))
+        assert code == 0
+        assert all(i_nats >= 0.0 and w_kt >= 0.0
+                   for _, _, i_nats, w_kt in read_rows(out))
+
+    def test_rows_are_lazy_and_arguments_eager(self):
+        rows = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 10**12)
+        assert next(rows)[0] == 0.0
+        with pytest.raises(cli.UsageError):
+            cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1)
+
+    def test_failed_write_leaves_no_file_and_keeps_the_old_one(self, tmp_path):
+        def rows():
+            yield 0.0, -1.0, LN2, LN2
+            raise RuntimeError("interrupted")
+
+        out = tmp_path / "x.csv"
+        with pytest.raises(RuntimeError):
+            cli.write_sweep_csv(rows(), str(out))
+        assert os.listdir(tmp_path) == []
+        out.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            cli.write_sweep_csv(rows(), str(out))
+        assert os.listdir(tmp_path) == ["x.csv"]
+        assert out.read_text(encoding="utf-8") == "old\n"
+
+    def test_directory_target_is_io_error_without_leftovers(self, capsys, tmp_path):
+        (tmp_path / "d").mkdir()
+        code, _, err = run(capsys, "sweep", "--law", "quantum", "--steps", "5",
+                           "--out", str(tmp_path / "d"))
+        assert code == 3
+        assert "cannot write sweep" in err
+        assert os.listdir(tmp_path) == ["d"]
 
     def test_invalid_law_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--law", "bogus",
@@ -183,6 +228,28 @@ class TestChshCommands:
         report = run_json(capsys, "hierarchy", "--angles", "0.3,0.3,0.3,0.3")
         assert report["ordering"] == "non-strict"
 
+    def test_infinite_temperature_is_usage_error(self, capsys):
+        for value in ("inf", "nan"):
+            code, out, err = run(capsys, "energetic-chsh", "--law", "quantum",
+                                 "--temperature", value)
+            assert code == 2
+            assert out == ""
+            assert "temperature" in err
+
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--law", "quantum", "--out", "x.csv"),
+        ("chsh", "--law", "quantum"),
+        ("optimize-chsh", "--law", "quantum"),
+        ("energetic-chsh", "--law", "quantum"),
+        ("hierarchy",),
+        ("robustness",),
+    ], ids=lambda c: c[0])
+    def test_seed_only_where_sampling_happens(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*command, "--seed", "1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_robustness_report(self, capsys):
         report = run_json(capsys, "robustness")
         assert report["classical"]["exponent"] == pytest.approx(1.0, abs=0.005)
@@ -225,6 +292,21 @@ class TestSzilardCommand:
             4.0 * report["std_error"]
         )
 
+    @pytest.mark.parametrize("eps", ["1e-17", "5e-324"])
+    def test_epsilon_too_small_to_move_the_partition(self, capsys, eps):
+        report = run_json(capsys, "szilard", "--epsilon", eps, "--optimal",
+                          "--trials", "1000")
+        assert report["boundary_optimum"] is True
+        assert report["x"] == 1.0
+        assert report["mean_work_kT"] <= report["bound_kT"] + 1e-12
+
+    def test_infinite_temperature_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "szilard", "--epsilon", "0.25", "--x", "0.75",
+                             "--trials", "10", "--temperature", "inf")
+        assert code == 2
+        assert out == ""
+        assert "temperature" in err
+
     def test_epsilon_above_half_is_usage_error(self, capsys):
         code, _, err = run(capsys, "szilard", "--epsilon", "0.6", "--optimal")
         assert code == 2
@@ -263,27 +345,143 @@ class TestVerifyCommand:
         for c in report["checks"]:
             assert {"name", "measured", "expected", "tolerance", "passed"} <= set(c)
 
+    def test_lhv_suite_checks_the_classical_law(self, capsys):
+        report = run_json(capsys, "verify")
+        assert report["lhv"]["max_classical_chsh"] <= 2.0 + 1e-12
+        names = {c["name"] for c in report["checks"]}
+        assert {"lhv.max_deviation_from_2", "lhv.classical.max_chsh"} <= names
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_lhv_scan_reaches_settings_the_quantum_law_violates(self, seed):
+        # the ceiling of 2 would be vacuous if no scanned setting could beat it
+        quantum = CorrelationLaw.quantum()
+        values = [chsh_value(quantum, s)
+                  for s in cli.random_settings(RandomStream(seed), 100)]
+        assert max(values) > 2.0
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "0")
         _, out2, _ = run(capsys, "verify", "--seed", "0")
         assert out1 == out2
 
 
-class TestEnvironment:
-    def test_thread_cap_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORRWORK_THREADS", "4")
-        report = run_json(capsys, "hierarchy")
-        assert report["ordering"] == "strict"
+# ---------------------------------------------------------------------------
+# property: every generated argv ends in a documented exit code, strict JSON
+# (or the sweep summary) on stdout, and no partial file
+# ---------------------------------------------------------------------------
 
-    def test_invalid_thread_cap_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORRWORK_THREADS", "lots")
-        code, _, err = run(capsys, "hierarchy")
-        assert code == 2
-        assert "CORRWORK_THREADS" in err
+def _mostly(good, bad):
+    """Draw from ``good`` three times in four and from ``bad`` otherwise, so
+    that most generated command lines carry at most one fault."""
+    return st.sampled_from([good, good, good, bad]).flatmap(lambda strategy: strategy)
 
-    def test_results_do_not_depend_on_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORRWORK_THREADS", "1")
-        _, out1, _ = run(capsys, "verify", "--seed", "5")
-        monkeypatch.setenv("CORRWORK_THREADS", "8")
-        _, out2, _ = run(capsys, "verify", "--seed", "5")
-        assert out1 == out2
+
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -1.0, 1e308])
+NUMBERS = st.one_of(st.floats(min_value=-10.0, max_value=10.0), SPECIAL, st.floats())
+LAWS = _mostly(
+    st.sampled_from(["classical", "quantum", "superquantum", "table:{dir}/law.csv"]),
+    st.sampled_from(["bogus", "table:", "table:{dir}/missing.csv", "table:{dir}/bad.csv"]),
+)
+THETAS = _mostly(st.floats(min_value=0.0, max_value=math.pi), NUMBERS)
+ANGLES = _mostly(
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+    st.lists(NUMBERS, min_size=3, max_size=5),
+).map(lambda xs: ",".join(repr(x) for x in xs))
+TEMPERATURES = st.one_of(st.floats(min_value=1e-3, max_value=1e4), SPECIAL)
+SUMMARY = re.compile(r"wrote \d+ rows to .+\n")
+
+
+def _option(name, strategy):
+    """``--name=value`` (so values starting with "-" stay values), or nothing."""
+    return st.one_of(st.just(()), strategy.map(lambda v: (f"--{name}={v}",)))
+
+
+def _required(name, strategy):
+    return strategy.map(lambda v: (f"--{name}={v}",))
+
+
+LAW = _required("law", LAWS)
+ANGLE_OPT = _option("angles", ANGLES)
+TEMPERATURE_OPT = _option("temperature", TEMPERATURES)
+SEED_OPT = _option("seed", st.integers(-5, 2**65))
+PARTITION = _mostly(
+    st.one_of(st.just(("--optimal",)),
+              _required("x", st.floats(min_value=0.01, max_value=0.99))),
+    _required("x", NUMBERS),
+)
+
+#: option groups of every subcommand except verify, with small --steps/--trials
+COMMANDS = {
+    "sweep": st.tuples(
+        LAW, _option("theta-min", THETAS), _option("theta-max", THETAS),
+        _option("steps", _mostly(st.integers(2, 60), st.integers(-2, 1))),
+        _required("out", _mostly(
+            st.just("{dir}/out.csv"),
+            st.sampled_from(["{dir}/missing/out.csv", "{dir}/adir"])))),
+    "chsh": st.tuples(LAW, ANGLE_OPT),
+    "optimize-chsh": st.tuples(LAW),
+    "energetic-chsh": st.tuples(LAW, ANGLE_OPT, TEMPERATURE_OPT),
+    "hierarchy": st.tuples(ANGLE_OPT),
+    "robustness": st.tuples(_option("anchor", _mostly(st.sampled_from(["0", "pi"]),
+                                                      st.just("1")))),
+    "szilard": st.tuples(
+        _required("epsilon", _mostly(st.floats(min_value=0.0, max_value=0.5), NUMBERS)),
+        PARTITION,
+        _required("trials", _mostly(st.integers(1, 2000), st.integers(-2, 0))),
+        TEMPERATURE_OPT, SEED_OPT),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _run_in_fresh_dir(argv):
+    """Exit code and new entries of one run in a fresh directory ``{dir}``."""
+    with tempfile.TemporaryDirectory() as work:
+        with open(os.path.join(work, "law.csv"), "w", encoding="utf-8") as handle:
+            handle.write("theta_radians,e\n0.0,-1.0\n1.5,0.1\n3.0,0.9\n")
+        with open(os.path.join(work, "bad.csv"), "w", encoding="utf-8") as handle:
+            handle.write("theta_radians,e\n1.0,0.0\n0.5,0.0\n")
+        os.mkdir(os.path.join(work, "adir"))
+        before = set(os.listdir(work))
+        argv = [a.replace("{dir}", work) for a in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        return code, sorted(set(os.listdir(work)) - before)
+
+
+class TestCliProperties:
+    def _check(self, capsys, argv):
+        code, created = _run_in_fresh_dir(argv)
+        out = capsys.readouterr().out
+        event(f"{argv[0]} exit {code}")
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_IO), (argv, code)
+        if argv[0] == "sweep":
+            if code == cli.EXIT_OK:
+                assert SUMMARY.fullmatch(out), out
+                assert created == ["out.csv"]
+            else:
+                assert out == ""
+                assert created == [], created
+        elif out:
+            assert code == cli.EXIT_OK
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert code != cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_codes_strict_json_and_no_partial_files(self, capsys, command, data):
+        groups = data.draw(COMMANDS[command])
+        self._check(capsys, (command, *(arg for group in groups for arg in group)))
+
+    @settings(max_examples=3, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=SEED_OPT)
+    def test_verify_exit_code_and_strict_json(self, capsys, seed):
+        self._check(capsys, ("verify", *seed))

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from corrwork.information import (
     LN2,
@@ -15,7 +15,28 @@ from corrwork.information import (
 from corrwork.laws import Angle, CorrelationLaw, joint_distribution
 from corrwork.rng import RandomStream
 
-from oracles import H2_QUARTER, I_AT_HALF_CORRELATION, h2_direct, shannon_mutual_information
+from oracles import (
+    H2_QUARTER,
+    I_AT_HALF_CORRELATION,
+    h2_direct,
+    mutual_information_mp,
+    shannon_mutual_information,
+)
+
+#: relative error bound of I(E) against the mpmath oracle
+I_REL_TOL = 1e-13
+#: below the smallest normal float, I(E) is quantised to the subnormal spacing
+I_ABS_FLOOR = 1e-322
+
+#: the whole domain, with extra weight where the formulas are delicate:
+#: tiny |E| (cancellation), |E| near 1/2 (branch switch), |E| near 1
+CORRELATIONS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1e-6, max_value=1e-6),
+    st.floats(min_value=0.49, max_value=0.51),
+    st.floats(min_value=1.0 - 1e-6, max_value=1.0),
+    st.floats(min_value=-1.0, max_value=-1.0 + 1e-6),
+)
 
 ALL_LAWS = [
     CorrelationLaw.classical(),
@@ -99,6 +120,42 @@ class TestMutualInformation:
             assert mutual_information(e) == pytest.approx(
                 shannon_mutual_information(cells), abs=1e-12
             )
+
+
+class TestMutualInformationAccuracy:
+    @settings(max_examples=500)
+    @given(e=CORRELATIONS)
+    def test_relative_error_against_mpmath(self, e):
+        want = mutual_information_mp(e)
+        got = mutual_information(e)
+        assert got >= 0.0
+        assert abs(got - want) <= I_REL_TOL * want + I_ABS_FLOOR, (e, got, want)
+
+    def test_exact_values(self):
+        assert mutual_information(0.0) == 0.0
+        assert mutual_information(-0.0) == 0.0
+        assert mutual_information(1.0) == LN2
+        assert mutual_information(-1.0) == LN2
+
+    def test_tiny_correlation_is_not_cancelled(self):
+        assert mutual_information(1e-8) == pytest.approx(5e-17, rel=1e-13)
+        for k in range(-2000, 2001):
+            e = k * 5e-10
+            assert mutual_information(e) >= 0.0
+            assert mutual_information(e) == pytest.approx(
+                mutual_information_mp(e), rel=I_REL_TOL, abs=I_ABS_FLOOR
+            )
+
+    @pytest.mark.parametrize("law", ALL_LAWS[:2], ids=lambda law: law.name)
+    def test_closed_forms_non_negative_near_half_pi(self, law):
+        for k in range(-10_000, 10_001):
+            theta = math.pi / 2.0 + k * 1e-10
+            assert mutual_information_law(law, theta) >= 0.0, theta
+
+    @given(e=st.floats(min_value=-2.0, max_value=2.0).filter(lambda e: abs(e) > 1.0))
+    def test_domain_error_outside_unit_interval(self, e):
+        with pytest.raises(ValueError):
+            mutual_information(e)
 
 
 class TestConditionalEntropy:

@@ -79,6 +79,18 @@ class TestOptimalPartition:
         assert opt.x_opt == 1.0
         assert opt.w_opt_kT == LN2
 
+    @pytest.mark.parametrize("eps", [1e-17, 5e-324])
+    def test_error_below_resolution_is_boundary(self, eps):
+        opt = optimal_partition(eps)
+        assert opt.boundary
+        assert opt.x_opt == 1.0
+        assert opt.w_opt_kT == LN2 - binary_entropy(eps)
+
+    def test_smallest_interior_error(self):
+        opt = optimal_partition(1e-16)
+        assert not opt.boundary
+        assert opt.x_opt == 1.0 - 1e-16 < 1.0
+
     def test_saturates_the_correlation_bound(self):
         for k in range(1, 11):
             eps = 0.05 * k
