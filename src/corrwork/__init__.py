@@ -20,8 +20,10 @@ from .information import (
     LN2,
     binary_entropy,
     conditional_entropy,
+    information_curve,
     mutual_information,
     mutual_information_law,
+    mutual_information_many,
 )
 from .jacobi import spectral_norm, symmetric_eigenvalues
 from .laws import (
@@ -85,12 +87,14 @@ __all__ = [
     "expected_work",
     "fit_decay_exponent",
     "hierarchy_report",
+    "information_curve",
     "joint_distribution",
     "ledger",
     "lhv_deterministic_max",
     "maximize_chsh",
     "mutual_information",
     "mutual_information_law",
+    "mutual_information_many",
     "optimal_partition",
     "sample_pair",
     "sample_pairs",

@@ -8,7 +8,10 @@ Conventions:
   - scalar reports are JSON on stdout, sweeps are CSV files
   - floats are emitted with 10 significant digits
   - work is reported in k_B*T units; pass --temperature to add joules
-  - exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error
+  - exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
+    4 internal error
+  - sweeps are computed and written in blocks of SWEEP_BLOCK rows; numpy is
+    loaded only by sweep, optimize-chsh, szilard and verify
 
 Output depends only on the arguments (plus --seed where sampling is
 involved), so identical invocations produce byte-identical reports.
@@ -21,14 +24,20 @@ import json
 import math
 import os
 import sys
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .energetics import (
     energetic_chsh,
     fit_decay_exponent,
     hierarchy_report,
 )
-from .information import LN2, binary_entropy, mutual_information, mutual_information_law
+from .information import (
+    LN2,
+    binary_entropy,
+    information_curve,
+    mutual_information_law,
+    mutual_information_many,
+)
 from .laws import Angle, CorrelationLaw, tabulated_from_csv
 from .nonlocality import (
     TSIRELSON_BOUND,
@@ -42,6 +51,9 @@ from .rng import RandomStream
 from .szilard import EngineConfig, expected_work, optimal_partition, simulate
 from ._version import __version__
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: exact SI Boltzmann constant, J/K; used only for presentation
 BOLTZMANN_J_PER_K = 1.380649e-23
 
@@ -49,6 +61,14 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
+
+#: rows per sweep block; keeps a sweep's memory small whatever --steps is
+SWEEP_BLOCK = 4096
+
+#: every emitted float has 10 significant digits
+_FLOAT = "%.10g"
+_SWEEP_ROW = ",".join([_FLOAT] * 4) + "\n"
 
 
 class UsageError(Exception):
@@ -56,7 +76,7 @@ class UsageError(Exception):
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
+    return _FLOAT % float(x)
 
 
 def _round_floats(obj):
@@ -110,8 +130,9 @@ def _check_temperature(temperature: float | None) -> None:
 
 def build_sweep(
     law: CorrelationLaw, theta_min: float, theta_max: float, steps: int
-) -> Iterator[tuple[float, float, float, float]]:
-    """Lazy (theta, e, i_nats, w_kT) rows on an even grid; arguments are checked now."""
+) -> Iterator[np.ndarray]:
+    """Lazy float64 blocks of at most SWEEP_BLOCK (theta, e, i_nats, w_kT) rows,
+    shape (k, 4), on an even grid; arguments are checked now."""
     if not (0.0 <= theta_min < theta_max <= math.pi):
         raise UsageError(
             f"need 0 <= theta_min < theta_max <= pi, got [{theta_min}, {theta_max}]"
@@ -120,29 +141,30 @@ def build_sweep(
         raise UsageError(f"steps must be >= 2, got {steps}")
     span = theta_max - theta_min
 
-    def rows():
-        for i in range(steps):
-            theta = theta_min + span * (i / (steps - 1))
-            angle = Angle(theta)
-            i_nats = mutual_information_law(law, angle)
-            yield theta, law.evaluate(angle), i_nats, i_nats
+    def blocks():
+        import numpy as np
 
-    return rows()
+        for start in range(0, steps, SWEEP_BLOCK):
+            index = np.arange(start, min(start + SWEEP_BLOCK, steps))
+            theta = theta_min + span * (index / (steps - 1))
+            e, i_nats = information_curve(law, theta)
+            yield np.column_stack((theta, e, i_nats, i_nats))
+
+    return blocks()
 
 
 def write_sweep_csv(rows, out_path: str) -> None:
-    """Stream rows to a temporary file beside ``out_path``, then rename it into
-    place; on any failure the temporary file is removed."""
+    """Stream blocks of (theta, e, i_nats, w_kT) rows to a temporary file beside
+    ``out_path``, each block formatted in one call, then rename it into place;
+    on any failure the temporary file is removed."""
     tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
         handle = open(tmp, "x", encoding="utf-8", newline="")
         try:
             with handle:
                 handle.write("theta,e,i_nats,w_kT\n")
-                for theta, e, i_nats, w_kt in rows:
-                    handle.write(
-                        f"{_fmt(theta)},{_fmt(e)},{_fmt(i_nats)},{_fmt(w_kt)}\n"
-                    )
+                for block in rows:
+                    handle.write(_SWEEP_ROW * len(block) % tuple(block.ravel().tolist()))
             os.replace(tmp, out_path)
         except BaseException:
             os.remove(tmp)
@@ -330,6 +352,8 @@ def random_settings(stream: RandomStream, n: int) -> Iterator[ChshSettings]:
 
 def run_verify(seed: int = 0) -> dict:
     """Full invariant suite; returns the JSON-ready report."""
+    import numpy as np
+
     checks: list[dict] = []
     suites: dict[str, bool] = {}
     classical = CorrelationLaw.classical()
@@ -382,13 +406,12 @@ def run_verify(seed: int = 0) -> dict:
 
     # 4. closed-form information curves against the generic route
     grid_n = 10_000
+    theta = math.pi * np.arange(grid_n) / (grid_n - 1)
     worst_gap = 0.0
     for law in (classical, quantum, superquantum):
-        for i in range(grid_n):
-            theta = math.pi * i / (grid_n - 1)
-            closed = mutual_information_law(law, Angle(theta))
-            generic = mutual_information(law.evaluate(Angle(theta)))
-            worst_gap = max(worst_gap, abs(closed - generic))
+        e, closed = information_curve(law, theta)
+        gap = float(np.max(np.abs(closed - mutual_information_many(e))))
+        worst_gap = max(worst_gap, gap)
     ok = _check(checks, "information.closed_vs_generic", worst_gap, 0.0, 1e-12)
     for law in (classical, quantum):
         for theta, tag in ((0.0, "0"), (math.pi, "pi")):
@@ -613,6 +636,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"corrwork: i/o error: {exc}\n")
         return EXIT_IO
+    except Exception as exc:
+        sys.stderr.write(f"corrwork: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

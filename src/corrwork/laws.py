@@ -14,7 +14,9 @@ marginals over outcomes x, y in {-1, +1}:
     P(x, y) = (1 + x*y*E) / 4
 
 Angles are canonicalized to [0, pi] on construction by reflecting modulo
-2*pi, so every law is total over the reals.
+2*pi, so every law is total over the reals.  CorrelationLaw.evaluate_many
+and canonical_radians are the array twins of evaluate and Angle; numpy is
+imported only when an array routine runs.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .rng import RandomStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,6 +57,18 @@ def _reflect(raw: float) -> float:
     if r < 0.0:
         r += _TWO_PI
     return min(r, _TWO_PI - r)
+
+
+def canonical_radians(raw) -> np.ndarray:
+    """Array twin of Angle: every finite angle of ``raw`` reduced to [0, pi]."""
+    import numpy as np
+
+    r = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("angles must be finite numbers")
+    r = np.fmod(r, _TWO_PI)
+    r = np.where(r < 0.0, r + _TWO_PI, r)
+    return np.minimum(r, _TWO_PI - r)
 
 
 def canonicalize_angle(raw: float) -> Angle:
@@ -166,6 +182,29 @@ class CorrelationLaw:
         if self.kind is LawKind.SUPERQUANTUM_STEP:
             return eval_superquantum(theta)
         return self._interpolate(_radians(theta))
+
+    def evaluate_many(self, theta) -> np.ndarray:
+        """Array twin of evaluate: E at every angle of ``theta``, with the same
+        arithmetic (a table interpolates by the formula of _interpolate)."""
+        import numpy as np
+
+        t = canonical_radians(theta)
+        if self.kind is LawKind.CLASSICAL_LINEAR:
+            return -1.0 + 2.0 * t / math.pi
+        if self.kind is LawKind.QUANTUM_COSINE:
+            return -np.cos(t)
+        if self.kind is LawKind.SUPERQUANTUM_STEP:
+            return np.sign(2.0 * t / math.pi - 1.0)
+        knots, values = np.array(self.table).T
+        if len(knots) == 1:
+            return np.full_like(t, values[0])
+        # clipping keeps the clamped lanes finite; np.where then picks the knot
+        inside = np.clip(t, knots[0], knots[-1])
+        hi = np.clip(np.searchsorted(knots, inside, side="right"), 1, len(knots) - 1)
+        t0, t1, e0, e1 = knots[hi - 1], knots[hi], values[hi - 1], values[hi]
+        inner = e0 + (e1 - e0) * (inside - t0) / (t1 - t0)
+        return np.where(t <= knots[0], values[0],
+                        np.where(t >= knots[-1], values[-1], inner))
 
     def _interpolate(self, t: float) -> float:
         table = self.table
@@ -289,6 +328,8 @@ def sample_pairs(dist: JointDistribution, stream: RandomStream, n: int) -> np.nd
     Consumes the stream exactly like n sample_pair calls and produces the
     same outcomes.
     """
+    import numpy as np
+
     u = stream.uniform_block(n)
     p_pp, p_pm, p_mp, _ = dist.cells()
     edges = np.array([p_pp, p_pp + p_pm, p_pp + p_pm + p_mp])

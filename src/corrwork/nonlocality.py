@@ -28,8 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .jacobi import spectral_norm
 from .laws import Angle, CorrelationLaw
 
@@ -153,6 +151,8 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     runs out.  Compass search needs no derivatives, which the step law
     does not have.
     """
+    import numpy as np
+
     n = 72
     grid = [i * GRID_STEP for i in range(n)]
     # one correlator matrix serves all four angle pairs
@@ -163,11 +163,15 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
 
     best_val = -1.0
     best_idx = (0, 0, 0, 0)
+    # one (a', b, b') buffer for every a: a fresh 3 MB array per a costs
+    # page faults and, depending on heap history, peak memory
+    s = np.empty((n, n, n))
     for ia in range(n):
         # S[a', b, b'] = |(m[a,b] + m[a',b]) + (m[a,b'] - m[a',b'])|
         c1 = m[ia, :][None, :] + m          # (a', b)
         c2 = m[ia, :][None, :] - m          # (a', b')
-        s = np.abs(c1[:, :, None] + c2[:, None, :])
+        np.add(c1[:, :, None], c2[:, None, :], out=s)
+        np.abs(s, out=s)
         flat = int(np.argmax(s))
         val = float(s.flat[flat])
         if val > best_val:

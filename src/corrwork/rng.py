@@ -30,7 +30,10 @@ three-line output mix above.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -72,6 +75,8 @@ class RandomStream:
 
     def uniform_block(self, n: int) -> np.ndarray:
         """n uniforms as one array, identical to n next_uniform() calls."""
+        import numpy as np
+
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
         counters = np.arange(1, n + 1, dtype=np.uint64)

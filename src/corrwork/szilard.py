@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .information import LN2, binary_entropy
 from .rng import RandomStream
 
@@ -114,6 +112,8 @@ def simulate(config: EngineConfig) -> CycleResult:
     stream is consumed in blocks, one uniform per trial, so a given seed
     yields one fixed sequence of outcomes regardless of chunking.
     """
+    import numpy as np
+
     eps = config.error_prob
     x = config.partition_fraction
     n = config.trials

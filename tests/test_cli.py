@@ -4,13 +4,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from corrwork import cli
-from corrwork.information import LN2, binary_entropy
+from corrwork.information import LN2, binary_entropy, mutual_information_many
 from corrwork.laws import CorrelationLaw
 from corrwork.nonlocality import chsh_value
 from corrwork.rng import RandomStream
@@ -97,7 +100,7 @@ class TestSweep:
         assert raw.endswith(b"\n")
 
     def test_in_memory_rows_meet_tight_tolerance(self):
-        rows = list(cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1001))
+        rows = np.vstack(list(cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1001)))
         assert len(rows) == 1001
         for theta, e, i_nats, _ in rows:
             assert abs(i_nats - (LN2 - binary_entropy((1.0 + e) / 2.0))) < 1e-12
@@ -116,14 +119,14 @@ class TestSweep:
                    for _, _, i_nats, w_kt in read_rows(out))
 
     def test_rows_are_lazy_and_arguments_eager(self):
-        rows = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 10**12)
-        assert next(rows)[0] == 0.0
+        blocks = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 10**12)
+        assert next(blocks)[0, 0] == 0.0
         with pytest.raises(cli.UsageError):
             cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1)
 
     def test_failed_write_leaves_no_file_and_keeps_the_old_one(self, tmp_path):
         def rows():
-            yield 0.0, -1.0, LN2, LN2
+            yield np.array([[0.0, -1.0, LN2, LN2]])
             raise RuntimeError("interrupted")
 
         out = tmp_path / "x.csv"
@@ -135,6 +138,27 @@ class TestSweep:
             cli.write_sweep_csv(rows(), str(out))
         assert os.listdir(tmp_path) == ["x.csv"]
         assert out.read_text(encoding="utf-8") == "old\n"
+
+    @pytest.mark.parametrize("steps", [2, cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK,
+                                       cli.SWEEP_BLOCK + 1, 2 * cli.SWEEP_BLOCK + 1])
+    def test_blocks_cover_exactly_steps_rows(self, steps):
+        blocks = list(cli.build_sweep(CorrelationLaw.classical(), 0.0, math.pi, steps))
+        assert all(b.dtype == np.float64 and b.shape[1] == 4
+                   and 1 <= len(b) <= cli.SWEEP_BLOCK for b in blocks)
+        theta = np.vstack(blocks)[:, 0]
+        assert len(theta) == steps
+        assert np.all(np.diff(theta) > 0.0)
+        assert theta[0] == 0.0 and theta[-1] == math.pi
+
+    def test_table_law_interpolates_each_row_once(self):
+        knots = [(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]
+        law = CorrelationLaw.tabulated(knots)
+        blocks = list(cli.build_sweep(law, 0.0, math.pi, 2 * cli.SWEEP_BLOCK + 7))
+        assert len(blocks) == 3
+        for block in blocks:
+            # I comes from the block's own E column, not a second interpolation
+            assert np.array_equal(block[:, 2], mutual_information_many(block[:, 1]))
+            assert np.array_equal(block[:, 3], block[:, 2])
 
     def test_directory_target_is_io_error_without_leftovers(self, capsys, tmp_path):
         (tmp_path / "d").mkdir()
@@ -363,6 +387,35 @@ class TestVerifyCommand:
         _, out1, _ = run(capsys, "verify", "--seed", "0")
         _, out2, _ = run(capsys, "verify", "--seed", "0")
         assert out1 == out2
+
+
+class TestProcessBoundary:
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(law, anchor):
+            raise ArithmeticError("fit diverged")
+
+        monkeypatch.setattr(cli, "fit_decay_exponent", broken)
+        code, out, err = run(capsys, "robustness")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "corrwork: internal error: ArithmeticError: fit diverged\n"
+        assert "Traceback" not in err
+
+    def test_scalar_subcommands_never_load_numpy(self):
+        code = (
+            "import sys\n"
+            "import corrwork.cli as cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "for argv in (['hierarchy'], ['chsh', '--law', 'quantum'],\n"
+            "             ['energetic-chsh', '--law', 'classical'], ['robustness']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

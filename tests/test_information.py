@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +10,10 @@ from corrwork.information import (
     LN2,
     binary_entropy,
     conditional_entropy,
+    information_curve,
     mutual_information,
     mutual_information_law,
+    mutual_information_many,
 )
 from corrwork.laws import Angle, CorrelationLaw, joint_distribution
 from corrwork.rng import RandomStream
@@ -29,11 +32,13 @@ I_REL_TOL = 1e-13
 I_ABS_FLOOR = 1e-322
 
 #: the whole domain, with extra weight where the formulas are delicate:
-#: tiny |E| (cancellation), |E| near 1/2 (branch switch), |E| near 1
+#: tiny |E| (cancellation), |E| near 1/2 (mid-range) and near 3/4 (branch
+#: switch), |E| near 1
 CORRELATIONS = st.one_of(
     st.floats(min_value=-1.0, max_value=1.0),
     st.floats(min_value=-1e-6, max_value=1e-6),
     st.floats(min_value=0.49, max_value=0.51),
+    st.floats(min_value=0.74, max_value=0.76),
     st.floats(min_value=1.0 - 1e-6, max_value=1.0),
     st.floats(min_value=-1.0, max_value=-1.0 + 1e-6),
 )
@@ -43,6 +48,21 @@ ALL_LAWS = [
     CorrelationLaw.quantum(),
     CorrelationLaw.superquantum(),
 ]
+
+#: the largest gap, in units in the last place, allowed between an array
+#: kernel and its scalar twin (numpy's log1p may round differently)
+TWIN_ULPS = 4
+
+TABLE_LAWS = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=math.pi),
+              st.floats(min_value=-1.0, max_value=1.0)),
+    min_size=1, max_size=12, unique_by=lambda knot: knot[0],
+).map(lambda knots: CorrelationLaw.tabulated(sorted(knots)))
+LAWS = st.one_of(st.sampled_from(ALL_LAWS), TABLE_LAWS)
+
+
+def within_ulps(got, want, n=TWIN_ULPS):
+    return abs(got - want) <= n * math.ulp(max(abs(got), abs(want)))
 
 
 class TestBinaryEntropy:
@@ -207,3 +227,47 @@ class TestClosedForms:
         assert mutual_information_law(law, theta) == pytest.approx(
             mutual_information(law.evaluate(theta)), abs=1e-15
         )
+
+
+class TestArrayKernels:
+    @settings(max_examples=200)
+    @given(es=st.lists(st.one_of(CORRELATIONS, st.floats(-1e-15, 1e-15)),
+                       min_size=1, max_size=40))
+    def test_relative_error_against_mpmath(self, es):
+        got = mutual_information_many(np.array(es))
+        assert got.shape == (len(es),)
+        for e, value in zip(es, got.tolist()):
+            want = mutual_information_mp(e)
+            assert value >= 0.0
+            assert abs(value - want) <= I_REL_TOL * want + I_ABS_FLOOR, (e, value, want)
+
+    def test_exact_values(self):
+        got = mutual_information_many(np.array([0.0, -0.0, 1.0, -1.0]))
+        assert got.tolist() == [0.0, 0.0, LN2, LN2]
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0000000000000002, math.nan, math.inf])
+    def test_domain_error_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError):
+            mutual_information_many(np.array([0.5, bad]))
+
+    @settings(max_examples=200)
+    @given(es=st.lists(CORRELATIONS, min_size=1, max_size=40))
+    def test_agrees_with_scalar_twin(self, es):
+        for e, value in zip(es, mutual_information_many(np.array(es)).tolist()):
+            assert within_ulps(value, mutual_information(e)), e
+
+    @settings(max_examples=200)
+    @given(law=LAWS, thetas=st.lists(st.floats(min_value=-20.0, max_value=20.0),
+                                     min_size=1, max_size=40))
+    def test_curve_agrees_with_scalar_twins(self, law, thetas):
+        e, i_nats = information_curve(law, np.array(thetas))
+        for theta, e_k, i_k in zip(thetas, e.tolist(), i_nats.tolist()):
+            assert within_ulps(e_k, law.evaluate(theta)), theta
+            assert within_ulps(i_k, mutual_information_law(law, theta)), theta
+
+    def test_named_laws_keep_their_closed_forms(self):
+        theta = np.array([0.0, math.pi / 2.0, math.pi])
+        for law in ALL_LAWS:
+            _, i_nats = information_curve(law, theta)
+            expected = [mutual_information_law(law, t) for t in theta.tolist()]
+            assert i_nats.tolist() == expected

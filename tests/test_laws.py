@@ -10,6 +10,7 @@ from corrwork.laws import (
     Angle,
     CorrelationLaw,
     JointDistribution,
+    canonical_radians,
     canonicalize_angle,
     eval_classical,
     eval_quantum,
@@ -104,6 +105,38 @@ def test_antisymmetry_about_half_pi(law, theta):
     left = law.evaluate(Angle(math.pi - theta))
     right = -law.evaluate(Angle(theta))
     assert left == pytest.approx(right, abs=1e-12)
+
+
+TABLE_LAWS = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=math.pi),
+              st.floats(min_value=-1.0, max_value=1.0)),
+    min_size=1, max_size=12, unique_by=lambda knot: knot[0],
+).map(lambda knots: CorrelationLaw.tabulated(sorted(knots)))
+RAW_ANGLES = st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=40)
+
+
+class TestArrayTwins:
+    @given(raw=RAW_ANGLES)
+    def test_canonical_radians_matches_angle(self, raw):
+        assert canonical_radians(np.array(raw)).tolist() == [Angle(r).radians for r in raw]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            canonical_radians(np.array([0.0, bad]))
+
+    @given(law=st.one_of(st.sampled_from(ALL_LAWS), TABLE_LAWS), raw=RAW_ANGLES)
+    def test_evaluate_many_within_four_ulp_of_evaluate(self, law, raw):
+        for theta, e in zip(raw, law.evaluate_many(np.array(raw)).tolist()):
+            want = law.evaluate(theta)
+            assert abs(e - want) <= 4 * math.ulp(max(abs(e), abs(want))), theta
+
+    def test_table_clamps_and_hits_knots(self):
+        law = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
+        got = law.evaluate_many(np.array([0.5, 1.0, 1.5, 2.0, 2.5]))
+        assert got.tolist() == [-0.5, -0.5, law.evaluate(1.5), 0.5, 0.5]
+        single = CorrelationLaw.tabulated([(1.0, 0.25)])
+        assert single.evaluate_many(np.array([0.0, 1.0, 3.0])).tolist() == [0.25] * 3
 
 
 class TestJointDistribution:
