@@ -15,8 +15,18 @@ scramble of the counter:
 Uniform doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
 
 Because the state is a pure counter, a block of n draws equals n sequential
-scalar draws, and the block path below exploits that to produce the same
-bits through vectorized arithmetic.
+scalar draws.  The array path exploits that: it scrambles the words of
+``state + (i + 1) * 0x9E3779B97F4A7C15`` in blocks of at most 2^16, each
+block in place in one reused buffer, so its working memory does not grow
+with n.  :meth:`RandomStream.uniform_block` turns those words into the same
+doubles as the scalar path, and :meth:`RandomStream.count_below` counts how
+many would fall below p without forming a double at all.  That count is
+exact: a uniform is u = k * 2**-53 with k = output >> 11, so
+
+    u < p  <=>  k < ceil(p * 2**53)  <=>  output < ceil(p * 2**53) * 2**11
+
+where p * 2**53 is exact in floating point and k is an integer.  For p = 1
+the limit is 2**64, beyond every word, and every draw counts.
 
 Streams are single-owner.  Concurrent shards must not share one stream;
 they call :meth:`RandomStream.derive`, which maps (seed, shard index) to an
@@ -30,7 +40,8 @@ three-line output mix above.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,6 +53,7 @@ _MIX2 = 0x94D049BB133111EB
 _DERIVE = 0xD1342543DE82EF95
 
 _TO_UNIT = 2.0**-53
+_BLOCK = 1 << 16
 
 
 def _scramble(z: int) -> int:
@@ -79,14 +91,62 @@ class RandomStream:
 
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        counters = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + np.uint64(_GAMMA) * counters
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + n * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        for words in self._word_blocks(n):
+            words >>= np.uint64(11)
+            np.multiply(words, _TO_UNIT, out=out[start:start + len(words)])
+            start += len(words)
+        return out
+
+    def count_below(self, n: int, p: float) -> int:
+        """How many of the next n uniforms are < p, in O(1) memory.
+
+        Advances the stream exactly as n next_uniform() calls would.  The
+        words are compared against the integer limit ceil(p * 2**53) * 2**11,
+        which is exact (see the module docstring).
+        """
+        import numpy as np
+
+        if n < 0:
+            raise ValueError(f"count must be >= 0, got {n}")
+        if not (0.0 <= p <= 1.0):
+            raise ValueError(f"threshold {p!r} outside [0, 1]")
+        limit = math.ceil(p * 2.0**53) << 11
+        if limit > _MASK64:
+            self._state = (self._state + n * _GAMMA) & _MASK64
+            return n
+        limit = np.uint64(limit)
+        return sum(int(np.count_nonzero(words < limit))
+                   for words in self._word_blocks(n))
+
+    def _word_blocks(self, n: int) -> Iterator[np.ndarray]:
+        """The next n words, in blocks of at most _BLOCK, advancing the stream.
+
+        Every block is the same reused buffer (a shorter view of it for the
+        last block), valid until the next block is requested.
+        """
+        import numpy as np
+
+        size = min(n, _BLOCK)
+        steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        words = np.empty(size, dtype=np.uint64)
+        scratch = np.empty(size, dtype=np.uint64)
+        mix1, mix2 = np.uint64(_MIX1), np.uint64(_MIX2)
+        for start in range(0, n, _BLOCK):
+            k = min(size, n - start)
+            z, t = words[:k], scratch[:k]
+            np.add(steps[:k], np.uint64(self._state), out=z)
+            self._state = (self._state + k * _GAMMA) & _MASK64
+            np.right_shift(z, np.uint64(30), out=t)
+            z ^= t
+            z *= mix1
+            np.right_shift(z, np.uint64(27), out=t)
+            z ^= t
+            z *= mix2
+            np.right_shift(z, np.uint64(31), out=t)
+            z ^= t
+            yield z
 
     def derive(self, index: int) -> "RandomStream":
         """Independent child stream for shard `index` (0-based)."""

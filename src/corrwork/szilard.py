@@ -21,7 +21,10 @@ small enough that 1 - eps rounds to 1.
 
 simulate() runs the cycle as a Monte Carlo over bit correctness with the
 repo's counter-based stream, so results are reproducible from the seed
-alone.
+alone.  Only the number of correct trials matters, and the stream counts
+it on raw words against an exact integer threshold
+(:meth:`RandomStream.count_below`), so memory stays flat in the number of
+trials and time is linear in it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 
 from .information import LN2, binary_entropy
 from .rng import RandomStream
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,28 +108,18 @@ def optimal_partition(epsilon: float) -> PartitionOptimum:
 def simulate(config: EngineConfig) -> CycleResult:
     """Monte Carlo over memory-bit correctness.
 
-    Each trial draws one uniform; the bit is correct when it falls below
-    1 - eps, and the trial contributes the matching branch work.  The
-    stream is consumed in blocks, one uniform per trial, so a given seed
-    yields one fixed sequence of outcomes regardless of chunking.
+    Trial i draws the i-th uniform of the seed's stream; the bit is correct
+    when it falls below 1 - eps, and the trial contributes the matching
+    branch work.  The count of correct trials is exactly that of n
+    next_uniform() draws compared with 1 - eps in floating point.
     """
-    import numpy as np
-
     eps = config.error_prob
     x = config.partition_fraction
     n = config.trials
     w_correct = math.log(2.0 * x)
     w_wrong = math.log(2.0 * (1.0 - x))
 
-    stream = RandomStream(config.seed)
-    correct = 0
-    remaining = n
-    while remaining > 0:
-        block = min(remaining, _CHUNK)
-        u = stream.uniform_block(block)
-        correct += int(np.count_nonzero(u < 1.0 - eps))
-        remaining -= block
-
+    correct = RandomStream(config.seed).count_below(n, 1.0 - eps)
     wrong = n - correct
     if wrong == 0 or correct == 0:
         # every trial is the same branch: the mean is exact, variance zero

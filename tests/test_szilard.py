@@ -1,6 +1,7 @@
 """Engine closed forms, the optimum, and Monte Carlo consistency."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -165,6 +166,35 @@ class TestSimulate:
         ss = k * (w_c - mean) ** 2 + (n - k) * (w_w - mean) ** 2
         expected_se = math.sqrt(ss / (n - 1)) / math.sqrt(n)
         assert result.std_error == pytest.approx(expected_se, rel=1e-12)
+
+    @pytest.mark.parametrize("eps, x, n, seed, mean, std_error", [
+        (0.25, 0.75, 10**6, 7, 0.13055715789016595, 0.00047586037627868344),
+        (0.1, 0.9, 2**20 + 1, 13, 0.3679294707206038, 0.0006438935386304189),
+        (0.5, 0.6, 3 * 2**16 + 5, 2**64 - 1, -0.020100628674274736,
+         0.0004572123704726094),
+    ])
+    def test_golden_values(self, eps, x, n, seed, mean, std_error):
+        # pinned from an earlier release that compared float uniforms, so a
+        # kernel that reorders or drops draws fails here, not just on reruns
+        result = simulate(EngineConfig(error_prob=eps, partition_fraction=x,
+                                       trials=n, seed=seed))
+        assert (result.mean_work_kT, result.std_error) == (mean, std_error)
+
+    def test_memory_is_flat_in_trials(self):
+        def peak(trials):
+            config = EngineConfig(error_prob=0.25, partition_fraction=0.75,
+                                  trials=trials, seed=3)
+            tracemalloc.start()
+            try:
+                simulate(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # numpy is imported outside the measured runs
+        small, large = peak(10**5), peak(10**7)
+        assert large < 2 * 2**20
+        assert large <= small + 4096, (small, large)
 
     def test_single_trial(self):
         result = simulate(EngineConfig(error_prob=0.25, partition_fraction=0.75,
