@@ -282,6 +282,9 @@ def _cmd_szilard(args) -> int:
         )
     if eps < 0.0:
         raise UsageError(f"error probability must be >= 0, got {eps}")
+    # checked here, not only by EngineConfig, which the boundary branch skips
+    if args.trials < 1:
+        raise UsageError(f"trials must be >= 1, got {args.trials}")
 
     opt = optimal_partition(eps) if args.optimal else None
     x = opt.x_opt if opt else args.x

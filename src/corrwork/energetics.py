@@ -1,6 +1,6 @@
-"""Work accounting for correlation consumption, all in units of k_B*T.
+"""Work bounds from correlation consumption, all in units of k_B*T.
 
-The free-energy ledger for a process on the system reads
+For a process on the system, free energy, work and mutual information obey
 
     dF = W - dI          (k_B*T = 1 units, dI in nats)
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .information import LN2, mutual_information_law
+from .information import mutual_information_law
 from .laws import Angle, CorrelationLaw, LawKind
 from .nonlocality import ChshSettings
 
@@ -40,40 +40,6 @@ DECAY_POINTS = 25
 
 #: correlation deficits below this across the window count as flat
 FLAT_DEFICIT = 1e-15
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One application of the ledger identity dF = W - dI (k_B*T = 1)."""
-
-    delta_F: float
-    work_on_system: float
-    delta_I: float
-
-    @property
-    def extractable_work(self) -> float:
-        return -self.work_on_system
-
-
-def ledger(delta_F: float, delta_I: float) -> LedgerEntry:
-    """Ledger entry for a process with free-energy change dF and
-    mutual-information change dI (nats)."""
-    for name, v in (("delta_F", delta_F), ("delta_I", delta_I)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    return LedgerEntry(delta_F=delta_F, work_on_system=delta_F + delta_I, delta_I=delta_I)
-
-
-def work_from_correlation(i_nats: float) -> float:
-    """Saturating work bound for an initial mutual information, in k_B*T.
-
-    A cyclic process consuming i_nats of correlation can extract at most
-    this much; the value is the identity map because work is already
-    measured in k_B*T.
-    """
-    if not (0.0 <= i_nats <= LN2 + 1e-12):
-        raise ValueError(f"mutual information {i_nats!r} outside [0, ln 2]")
-    return i_nats
 
 
 def energetic_chsh(law: CorrelationLaw, settings: ChshSettings) -> float:

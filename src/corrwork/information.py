@@ -4,7 +4,6 @@ For a correlation value E, the joint distribution P(x, y) = (1 + x*y*E)/4
 has uniform marginals, so H(A) = ln 2 and
 
     I(A:E)  = ln 2 - h2((1 + E) / 2)
-    H(A|E)  =        h2((1 + E) / 2)
 
 where h2(p) = -p ln p - (1-p) ln(1-p).  That difference cancels near E = 0,
 so mutual_information evaluates the same quantity as the power series
@@ -59,13 +58,6 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-
-
-def conditional_entropy(e: float) -> float:
-    """Residual uncertainty H(A|E) = h2((1 + E)/2) for correlation E."""
-    if not (-1.0 <= e <= 1.0):
-        raise ValueError(f"correlation {e!r} outside [-1, 1]")
-    return binary_entropy((1.0 + e) / 2.0)
 
 
 def mutual_information(e: float) -> float:

@@ -1,4 +1,4 @@
-"""Bipartite correlation laws and the joint distribution they induce.
+"""Bipartite correlation laws E(theta) on the canonical angle range.
 
 Three two-outcome correlation laws E(theta), each a function of the relative
 angle theta between the two parties' measurement directions:
@@ -8,10 +8,6 @@ angle theta between the two parties' measurement directions:
     superquantum  E(theta) = sgn(2*theta/pi - 1)    (step, sgn(0) = 0)
 
 plus a tabulated law interpolated from user-supplied (theta, E) knots.
-Any E in [-1, 1] induces a no-signaling joint distribution with uniform
-marginals over outcomes x, y in {-1, +1}:
-
-    P(x, y) = (1 + x*y*E) / 4
 
 Angles are canonicalized to [0, pi] on construction by reflecting modulo
 2*pi, so every law is total over the reals.  CorrelationLaw.evaluate_many
@@ -27,15 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .rng import RandomStream
-
 if TYPE_CHECKING:
     import numpy as np
 
 _TWO_PI = 2.0 * math.pi
-
-#: tolerance for the probability-sum and marginal invariants
-PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,35 +62,10 @@ def canonical_radians(raw) -> np.ndarray:
     return np.minimum(r, _TWO_PI - r)
 
 
-def canonicalize_angle(raw: float) -> Angle:
-    """Canonical Angle for any finite radian value (idempotent)."""
-    return Angle(raw)
-
-
 def _radians(theta: Angle | float) -> float:
     if isinstance(theta, Angle):
         return theta.radians
     return Angle(theta).radians
-
-
-def eval_classical(theta: Angle | float) -> float:
-    """Linear law E(theta) = -1 + 2*theta/pi."""
-    return -1.0 + 2.0 * _radians(theta) / math.pi
-
-
-def eval_quantum(theta: Angle | float) -> float:
-    """Singlet cosine law E(theta) = -cos(theta)."""
-    return -math.cos(_radians(theta))
-
-
-def eval_superquantum(theta: Angle | float) -> float:
-    """Step law E(theta) = sgn(2*theta/pi - 1), with sgn(0) = 0."""
-    arg = 2.0 * _radians(theta) / math.pi - 1.0
-    if arg > 0.0:
-        return 1.0
-    if arg < 0.0:
-        return -1.0
-    return 0.0
 
 
 class LawKind(enum.Enum):
@@ -175,13 +141,19 @@ class CorrelationLaw:
         return self.kind.value
 
     def evaluate(self, theta: Angle | float) -> float:
+        t = _radians(theta)
         if self.kind is LawKind.CLASSICAL_LINEAR:
-            return eval_classical(theta)
+            return -1.0 + 2.0 * t / math.pi
         if self.kind is LawKind.QUANTUM_COSINE:
-            return eval_quantum(theta)
+            return -math.cos(t)
         if self.kind is LawKind.SUPERQUANTUM_STEP:
-            return eval_superquantum(theta)
-        return self._interpolate(_radians(theta))
+            arg = 2.0 * t / math.pi - 1.0
+            if arg > 0.0:
+                return 1.0
+            if arg < 0.0:
+                return -1.0
+            return 0.0
+        return self._interpolate(t)
 
     def evaluate_many(self, theta) -> np.ndarray:
         """Array twin of evaluate: E at every angle of ``theta``, with the same
@@ -261,78 +233,3 @@ def tabulated_from_csv(path) -> CorrelationLaw:
         raise ValueError(f"{path}: no data rows")
     return CorrelationLaw.tabulated(knots)
 
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """No-signaling outcome distribution P(x, y) with uniform marginals.
-
-    Cell order is (x, y) in {(+,+), (+,-), (-,+), (-,-)}.
-    """
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-
-    def __post_init__(self) -> None:
-        cells = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        for name, p in zip(("p_pp", "p_pm", "p_mp", "p_mm"), cells):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"{name}={p!r} outside [0, 1]")
-        if abs(sum(cells) - 1.0) > PROB_TOL:
-            raise ValueError(f"cell probabilities sum to {sum(cells)!r}, expected 1")
-        if abs(self.p_pp + self.p_pm - 0.5) > PROB_TOL:
-            raise ValueError("first-party marginal is not uniform")
-        if abs(self.p_pp + self.p_mp - 0.5) > PROB_TOL:
-            raise ValueError("second-party marginal is not uniform")
-
-    @classmethod
-    def from_correlation(cls, e: float) -> "JointDistribution":
-        """P(x, y) = (1 + x*y*e) / 4 for e in [-1, 1]."""
-        if not (-1.0 <= e <= 1.0):
-            raise ValueError(f"correlation {e!r} outside [-1, 1]")
-        same = (1.0 + e) / 4.0
-        diff = (1.0 - e) / 4.0
-        return cls(same, diff, diff, same)
-
-    def correlation(self) -> float:
-        """Recover E = sum over cells of x*y*P(x, y)."""
-        return (self.p_pp + self.p_mm) - (self.p_pm + self.p_mp)
-
-    def cells(self) -> tuple[float, float, float, float]:
-        return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-
-
-_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
-def joint_distribution(e: float) -> JointDistribution:
-    """Alias for JointDistribution.from_correlation."""
-    return JointDistribution.from_correlation(e)
-
-
-def sample_pair(dist: JointDistribution, stream: RandomStream) -> tuple[int, int]:
-    """Draw one outcome pair (x, y), each in {-1, +1}."""
-    u = stream.next_uniform()
-    acc = 0.0
-    for p, outcome in zip(dist.cells(), _OUTCOMES):
-        acc += p
-        if u < acc:
-            return outcome
-    return _OUTCOMES[-1]
-
-
-def sample_pairs(dist: JointDistribution, stream: RandomStream, n: int) -> np.ndarray:
-    """Draw n outcome pairs as an (n, 2) array of -1/+1 ints.
-
-    Consumes the stream exactly like n sample_pair calls and produces the
-    same outcomes.
-    """
-    import numpy as np
-
-    u = stream.uniform_block(n)
-    p_pp, p_pm, p_mp, _ = dist.cells()
-    edges = np.array([p_pp, p_pp + p_pm, p_pp + p_pm + p_mp])
-    idx = np.searchsorted(edges, u, side="right")
-    outcomes = np.array(_OUTCOMES, dtype=np.int64)
-    return outcomes[idx]

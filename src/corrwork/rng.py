@@ -27,15 +27,6 @@ exact: a uniform is u = k * 2**-53 with k = output >> 11, so
 
 where p * 2**53 is exact in floating point and k is an integer.  For p = 1
 the limit is 2**64, beyond every word, and every draw counts.
-
-Streams are single-owner.  Concurrent shards must not share one stream;
-they call :meth:`RandomStream.derive`, which maps (seed, shard index) to an
-independent child stream through one extra scramble:
-
-    child_state <- scramble(state0 XOR ((index + 1) * 0xD1342543DE82EF95))
-
-where ``state0`` is the parent's initial state and ``scramble`` is the
-three-line output mix above.
 """
 
 from __future__ import annotations
@@ -50,7 +41,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_DERIVE = 0xD1342543DE82EF95
 
 _TO_UNIT = 2.0**-53
 _BLOCK = 1 << 16
@@ -72,10 +62,6 @@ class RandomStream:
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self._state0 = seed & _MASK64
         self._state = self._state0
-
-    @property
-    def seed(self) -> int:
-        return self._state0
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -147,13 +133,6 @@ class RandomStream:
             np.right_shift(z, np.uint64(31), out=t)
             z ^= t
             yield z
-
-    def derive(self, index: int) -> "RandomStream":
-        """Independent child stream for shard `index` (0-based)."""
-        if index < 0:
-            raise ValueError(f"shard index must be >= 0, got {index}")
-        salt = ((index + 1) * _DERIVE) & _MASK64
-        return RandomStream(_scramble(self._state0 ^ salt))
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self._state0:#x})"

@@ -37,6 +37,12 @@ def mutual_information_mp(e: float) -> float:
         return float(((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / 2)
 
 
+def joint_cells(e: float) -> tuple[float, float, float, float]:
+    """P(x, y) = (1 + x*y*E) / 4 over the cells (+,+), (+,-), (-,+), (-,-)."""
+    same, diff = (1.0 + e) / 4.0, (1.0 - e) / 4.0
+    return (same, diff, diff, same)
+
+
 def shannon_mutual_information(cells) -> float:
     """I = sum P(x,y) ln(P(x,y) / (P(x) P(y))) over the four cells."""
     p_pp, p_pm, p_mp, p_mm = cells

@@ -324,6 +324,17 @@ class TestSzilardCommand:
         assert report["x"] == 1.0
         assert report["mean_work_kT"] <= report["bound_kT"] + 1e-12
 
+    @pytest.mark.parametrize("eps,trials", [
+        ("0", "-5"), ("1e-17", "0"), ("0.1", "-5"), ("0.1", "0"),
+    ])
+    def test_non_positive_trials_is_usage_error(self, capsys, eps, trials):
+        # eps 0 and 1e-17 take the boundary branch, which never simulates
+        code, out, err = run(capsys, "szilard", "--epsilon", eps, "--optimal",
+                             "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "trials must be >= 1" in err
+
     def test_infinite_temperature_is_usage_error(self, capsys):
         code, out, err = run(capsys, "szilard", "--epsilon", "0.25", "--x", "0.75",
                              "--trials", "10", "--temperature", "inf")

@@ -1,77 +1,22 @@
-"""Ledger identity, energetic CHSH hierarchy, and misalignment exponents."""
+"""Energetic CHSH hierarchy and misalignment exponents."""
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from corrwork.energetics import (
     DecayFit,
     energetic_chsh,
     fit_decay_exponent,
     hierarchy_report,
-    ledger,
-    work_from_correlation,
 )
 from corrwork.information import LN2, mutual_information_law
 from corrwork.laws import Angle, CorrelationLaw
 from corrwork.nonlocality import ChshSettings
-from corrwork.rng import RandomStream
 
 from oracles import SW_CLASSICAL, SW_QUANTUM, SW_SUPERQUANTUM, h2_direct
 
 STANDARD = ChshSettings.standard()
-
-
-class TestLedger:
-    def test_cyclic_consumption_of_one_bit(self):
-        entry = ledger(0.0, -LN2)
-        assert entry.extractable_work == pytest.approx(LN2, abs=1e-15)
-
-    def test_no_resource_no_gain(self):
-        assert ledger(0.0, 0.0).extractable_work == 0.0
-
-    def test_mixed_entry(self):
-        assert ledger(-0.3, -0.2).extractable_work == pytest.approx(0.5, abs=1e-15)
-
-    @given(
-        delta_f=st.floats(min_value=-10.0, max_value=10.0),
-        delta_i=st.floats(min_value=-LN2, max_value=LN2),
-    )
-    def test_identity_holds(self, delta_f, delta_i):
-        entry = ledger(delta_f, delta_i)
-        assert entry.delta_F == pytest.approx(
-            entry.work_on_system - entry.delta_I, abs=1e-12
-        )
-
-    def test_identity_on_seeded_corpus(self):
-        stream = RandomStream(53)
-        for _ in range(1000):
-            delta_f = 4.0 * stream.next_uniform() - 2.0
-            delta_i = 2.0 * LN2 * stream.next_uniform() - LN2
-            entry = ledger(delta_f, delta_i)
-            assert abs(entry.delta_F - (entry.work_on_system - entry.delta_I)) < 1e-12
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ledger(math.inf, 0.0)
-
-
-class TestWorkFromCorrelation:
-    def test_one_bit(self):
-        assert work_from_correlation(LN2) == LN2
-
-    def test_zero(self):
-        assert work_from_correlation(0.0) == 0.0
-
-    def test_identity_in_kt_units(self):
-        i = LN2 - h2_direct(0.25)
-        assert work_from_correlation(i) == i
-
-    @pytest.mark.parametrize("bad", [-0.1, 0.8])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            work_from_correlation(bad)
 
 
 class TestEnergeticChsh:

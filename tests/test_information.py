@@ -9,19 +9,19 @@ from hypothesis import given, settings, strategies as st
 from corrwork.information import (
     LN2,
     binary_entropy,
-    conditional_entropy,
     information_curve,
     mutual_information,
     mutual_information_law,
     mutual_information_many,
 )
-from corrwork.laws import Angle, CorrelationLaw, joint_distribution
+from corrwork.laws import Angle, CorrelationLaw
 from corrwork.rng import RandomStream
 
 from oracles import (
     H2_QUARTER,
     I_AT_HALF_CORRELATION,
     h2_direct,
+    joint_cells,
     mutual_information_mp,
     shannon_mutual_information,
 )
@@ -122,7 +122,7 @@ class TestMutualInformation:
 
     @given(e=st.floats(min_value=-1.0, max_value=1.0))
     def test_chain_identity(self, e):
-        total = mutual_information(e) + conditional_entropy(e)
+        total = mutual_information(e) + binary_entropy((1.0 + e) / 2.0)
         assert total == pytest.approx(LN2, abs=1e-12)
 
     def test_monotone_in_correlation_magnitude(self):
@@ -136,7 +136,7 @@ class TestMutualInformation:
         stream = RandomStream(23)
         for _ in range(100):
             e = 2.0 * stream.next_uniform() - 1.0
-            cells = joint_distribution(e).cells()
+            cells = joint_cells(e)
             assert mutual_information(e) == pytest.approx(
                 shannon_mutual_information(cells), abs=1e-12
             )
@@ -176,18 +176,6 @@ class TestMutualInformationAccuracy:
     def test_domain_error_outside_unit_interval(self, e):
         with pytest.raises(ValueError):
             mutual_information(e)
-
-
-class TestConditionalEntropy:
-    def test_perfectly_predictable(self):
-        assert conditional_entropy(-1.0) == 0.0
-
-    def test_uncorrelated_is_maximal(self):
-        assert conditional_entropy(0.0) == pytest.approx(LN2, abs=1e-15)
-
-    def test_half_correlated_matches_oracle(self):
-        assert conditional_entropy(0.5) == pytest.approx(h2_direct(0.75), abs=1e-15)
-        assert h2_direct(0.75) == pytest.approx(H2_QUARTER, abs=1e-16)
 
 
 class TestClosedForms:

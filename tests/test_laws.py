@@ -1,4 +1,4 @@
-"""Correlation laws, angle canonicalization, and the induced joint law."""
+"""Correlation laws and angle canonicalization."""
 
 import math
 
@@ -6,38 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from corrwork.laws import (
-    Angle,
-    CorrelationLaw,
-    JointDistribution,
-    canonical_radians,
-    canonicalize_angle,
-    eval_classical,
-    eval_quantum,
-    eval_superquantum,
-    joint_distribution,
-    sample_pair,
-    sample_pairs,
-    tabulated_from_csv,
-)
-from corrwork.rng import RandomStream
+from corrwork.laws import Angle, CorrelationLaw, canonical_radians, tabulated_from_csv
 
-ALL_LAWS = [
-    CorrelationLaw.classical(),
-    CorrelationLaw.quantum(),
-    CorrelationLaw.superquantum(),
-]
+CLASSICAL = CorrelationLaw.classical()
+QUANTUM = CorrelationLaw.quantum()
+SUPERQUANTUM = CorrelationLaw.superquantum()
+ALL_LAWS = [CLASSICAL, QUANTUM, SUPERQUANTUM]
 
 
 class TestAngle:
     def test_identity_case(self):
-        assert canonicalize_angle(0.0).radians == 0.0
+        assert Angle(0.0).radians == 0.0
 
     def test_reflection_of_three_half_pi(self):
-        assert canonicalize_angle(3.0 * math.pi / 2.0).radians == math.pi / 2.0
+        assert Angle(3.0 * math.pi / 2.0).radians == math.pi / 2.0
 
     def test_evenness(self):
-        assert canonicalize_angle(-math.pi / 4.0).radians == math.pi / 4.0
+        assert Angle(-math.pi / 4.0).radians == math.pi / 4.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -59,37 +44,37 @@ class TestAngle:
 
 class TestClassicalLaw:
     def test_quarter_pi(self):
-        assert eval_classical(Angle(math.pi / 4.0)) == -0.5
+        assert CLASSICAL.evaluate(Angle(math.pi / 4.0)) == -0.5
 
     def test_zero_endpoint(self):
-        assert eval_classical(Angle(0.0)) == -1.0
+        assert CLASSICAL.evaluate(Angle(0.0)) == -1.0
 
     def test_three_quarter_pi(self):
-        assert eval_classical(Angle(3.0 * math.pi / 4.0)) == 0.5
+        assert CLASSICAL.evaluate(Angle(3.0 * math.pi / 4.0)) == 0.5
 
 
 class TestQuantumLaw:
     def test_quarter_pi(self):
-        assert eval_quantum(Angle(math.pi / 4.0)) == pytest.approx(
+        assert QUANTUM.evaluate(Angle(math.pi / 4.0)) == pytest.approx(
             -math.sqrt(2.0) / 2.0, abs=1e-15
         )
 
     def test_half_pi(self):
-        assert eval_quantum(Angle(math.pi / 2.0)) == pytest.approx(0.0, abs=1e-15)
+        assert QUANTUM.evaluate(Angle(math.pi / 2.0)) == pytest.approx(0.0, abs=1e-15)
 
     def test_pi_endpoint(self):
-        assert eval_quantum(Angle(math.pi)) == 1.0
+        assert QUANTUM.evaluate(Angle(math.pi)) == 1.0
 
 
 class TestSuperquantumLaw:
     def test_quarter_pi(self):
-        assert eval_superquantum(Angle(math.pi / 4.0)) == -1.0
+        assert SUPERQUANTUM.evaluate(Angle(math.pi / 4.0)) == -1.0
 
     def test_three_quarter_pi(self):
-        assert eval_superquantum(Angle(3.0 * math.pi / 4.0)) == 1.0
+        assert SUPERQUANTUM.evaluate(Angle(3.0 * math.pi / 4.0)) == 1.0
 
     def test_half_pi_is_zero(self):
-        assert eval_superquantum(Angle(math.pi / 2.0)) == 0.0
+        assert SUPERQUANTUM.evaluate(Angle(math.pi / 2.0)) == 0.0
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.name)
@@ -137,81 +122,6 @@ class TestArrayTwins:
         assert got.tolist() == [-0.5, -0.5, law.evaluate(1.5), 0.5, 0.5]
         single = CorrelationLaw.tabulated([(1.0, 0.25)])
         assert single.evaluate_many(np.array([0.0, 1.0, 3.0])).tolist() == [0.25] * 3
-
-
-class TestJointDistribution:
-    def test_uncorrelated(self):
-        d = joint_distribution(0.0)
-        assert d.cells() == (0.25, 0.25, 0.25, 0.25)
-
-    def test_perfect_anticorrelation(self):
-        d = joint_distribution(-1.0)
-        assert d.cells() == (0.0, 0.5, 0.5, 0.0)
-
-    def test_half_anticorrelated(self):
-        # direct substitution into the quarter formula
-        expected = tuple((1.0 + x * y * -0.5) / 4.0
-                         for x, y in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-        assert expected == (0.125, 0.375, 0.375, 0.125)
-        assert joint_distribution(-0.5).cells() == expected
-
-    @given(e=st.floats(min_value=-1.0, max_value=1.0))
-    def test_invariants_and_round_trip(self, e):
-        d = joint_distribution(e)
-        cells = d.cells()
-        assert all(0.0 <= p <= 1.0 for p in cells)
-        assert sum(cells) == pytest.approx(1.0, abs=1e-12)
-        assert cells[0] + cells[1] == pytest.approx(0.5, abs=1e-12)
-        assert cells[0] + cells[2] == pytest.approx(0.5, abs=1e-12)
-        assert d.correlation() == pytest.approx(e, abs=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            joint_distribution(1.5)
-
-    def test_invalid_cells_rejected(self):
-        with pytest.raises(ValueError):
-            JointDistribution(0.5, 0.5, 0.0, 0.0)  # marginals not uniform
-
-
-class TestSampling:
-    def test_anticorrelated_draws_are_opposite(self):
-        d = joint_distribution(-1.0)
-        stream = RandomStream(3)
-        for _ in range(1000):
-            x, y = sample_pair(d, stream)
-            assert x == -y
-
-    def test_fixed_seed_first_draw_is_stable(self):
-        d = joint_distribution(0.3)
-        assert sample_pair(d, RandomStream(42)) == sample_pair(d, RandomStream(42))
-
-    def test_block_sampling_matches_scalar(self):
-        d = joint_distribution(0.42)
-        s1, s2 = RandomStream(11), RandomStream(11)
-        block = sample_pairs(d, s1, 500)
-        scalar = np.array([sample_pair(d, s2) for _ in range(500)])
-        assert np.array_equal(block, scalar)
-
-    @pytest.mark.parametrize("e,seed", [(-0.8, 1), (-0.3, 2), (0.0, 3), (0.5, 4)])
-    def test_cell_frequencies_within_four_sigma(self, e, seed):
-        n = 100_000
-        d = joint_distribution(e)
-        pairs = sample_pairs(d, RandomStream(seed), n)
-        counts = {
-            (1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0,
-        }
-        for x, y in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            counts[(x, y)] = int(np.count_nonzero((pairs[:, 0] == x) & (pairs[:, 1] == y)))
-        for p, key in zip(d.cells(), ((1, 1), (1, -1), (-1, 1), (-1, -1))):
-            sigma = math.sqrt(p * (1.0 - p) / n)
-            assert abs(counts[key] / n - p) <= 4.0 * sigma + 1e-12
-
-    def test_uncorrelated_empirical_correlation_small(self):
-        n = 1_000_000
-        pairs = sample_pairs(joint_distribution(0.0), RandomStream(5), n)
-        emp = float(np.mean(pairs[:, 0] * pairs[:, 1]))
-        assert abs(emp) <= 3.0 / math.sqrt(n)
 
 
 class TestTabulatedLaw:

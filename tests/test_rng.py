@@ -110,22 +110,6 @@ def test_uniforms_live_in_unit_interval():
     assert abs(float(u.mean()) - 0.5) < 0.005
 
 
-def test_derived_streams_are_distinct_and_stable():
-    parent = RandomStream(99)
-    children = [parent.derive(i) for i in range(8)]
-    firsts = [c.next_uint64() for c in children]
-    assert len(set(firsts)) == len(firsts)
-    # derivation depends only on (seed, index), not on parent consumption
-    parent.next_uniform()
-    again = parent.derive(3)
-    assert again.next_uint64() == firsts[3]
-
-
-def test_derive_rejects_negative_index():
-    with pytest.raises(ValueError):
-        RandomStream(0).derive(-1)
-
-
 def test_seed_type_checked():
     with pytest.raises(TypeError):
         RandomStream(1.5)
