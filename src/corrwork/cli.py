@@ -9,7 +9,9 @@ Conventions:
   - floats are emitted with 10 significant digits
   - work is reported in k_B*T units; pass --temperature to add joules
   - exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
-    4 internal error
+    4 internal error (any other exception, a ValueError from the library too)
+  - numpy's OpenBLAS runs single-threaded: main sets OPENBLAS_NUM_THREADS=1
+    unless the environment sets it or numpy is already imported
   - sweeps are computed and written in blocks of SWEEP_BLOCK rows; numpy is
     loaded only by sweep, optimize-chsh, szilard and verify
 
@@ -96,12 +98,17 @@ def _emit_json(obj) -> None:
 
 
 def _parse_law(name: str) -> CorrelationLaw:
-    if name.startswith("table:"):
+    """The named law, or a table law loaded from ``table:<path>``; an unknown
+    name or a malformed table is a usage error, an unreadable file an I/O one."""
+    try:
+        if not name.startswith("table:"):
+            return CorrelationLaw.from_name(name)
         path = name[len("table:"):]
         if not path:
             raise UsageError("table law needs a path: table:<path>")
         return tabulated_from_csv(path)
-    return CorrelationLaw.from_name(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_settings(text: str | None) -> ChshSettings:
@@ -116,7 +123,19 @@ def _parse_settings(text: str | None) -> ChshSettings:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"--angles: non-numeric field in {text!r}") from exc
-    return ChshSettings(*values)
+    try:
+        settings = ChshSettings(*values)
+        settings.relative_angles()  # finite angles can still differ by inf
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return settings
+
+
+def _check_seed(seed: int) -> None:
+    # RandomStream reduces its seed mod 2**64; outside that range two seeds
+    # would draw the same stream
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _check_temperature(temperature: float | None) -> None:
@@ -274,14 +293,17 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_szilard(args) -> int:
     _check_temperature(args.temperature)
+    _check_seed(args.seed)
     eps = args.epsilon
     if eps > 0.5:
         raise UsageError(
             f"error probability {eps} exceeds 1/2: relabel the bit so that "
             "the prediction is right more often than wrong"
         )
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise UsageError(f"error probability must be >= 0, got {eps}")
+    if not (args.optimal or 0.0 < args.x < 1.0):
+        raise UsageError(f"partition fraction {args.x!r} outside (0, 1)")
     # checked here, not only by EngineConfig, which the boundary branch skips
     if args.trials < 1:
         raise UsageError(f"trials must be >= 1, got {args.trials}")
@@ -540,6 +562,7 @@ def run_verify(seed: int = 0) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    _check_seed(args.seed)
     report = run_verify(seed=args.seed)
     _emit_json(report)
     if not report["passed"]:
@@ -572,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_seed(p):
         p.add_argument("--seed", type=int, default=0,
-                       help="random stream seed (default 0)")
+                       help="random stream seed in [0, 2**64) (default 0)")
 
     p = sub.add_parser("sweep", help="tabulate theta, E, I, W over an angle grid")
     add_law(p)
@@ -629,11 +652,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # corrwork calls no BLAS routine, so numpy's OpenBLAS thread pool
+        # only costs start-up time; a value the caller set wins
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"corrwork: error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

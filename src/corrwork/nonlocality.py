@@ -17,9 +17,9 @@ A(phi) = cos(phi) Z + sin(phi) X the 4x4 operator
 is real symmetric, and its spectral norm (via the in-repo Jacobi solver)
 never exceeds 2*sqrt(2).
 
-maximize_chsh searches the four angle settings for the largest S: a coarse
-grid at step pi/36 followed by derivative-free compass refinement, chosen
-because the step law is discontinuous.
+maximize_chsh searches the four angle settings for the largest S: an exact
+O(n^3) scan of the grid at step pi/36 followed by derivative-free compass
+refinement, chosen because the step law is discontinuous.
 """
 
 from __future__ import annotations
@@ -140,45 +140,45 @@ def chsh_operator_norm(settings: ChshSettings) -> float:
     return spectral_norm(chsh_operator(settings))
 
 
+def _grid_argmax(m) -> tuple[int, int, int, int]:
+    """First (a, a', b, b') in lexicographic order maximizing
+    |(m[a,b] + m[a',b]) + (m[a,b'] - m[a',b'])| over an n x n matrix m."""
+    import numpy as np
+
+    m = np.asarray(m)
+    n = len(m)
+    best = np.empty((n, n))
+    for ia in range(n):
+        u = m[ia] + m                       # (a', b)
+        v = m[ia] - m                       # (a', b')
+        np.maximum(u.max(axis=1) + v.max(axis=1), -(u.min(axis=1) + v.min(axis=1)),
+                   out=best[ia])
+    ia, iap = divmod(int(np.argmax(best)), n)
+    u, v = m[ia] + m[iap], m[ia] - m[iap]
+    ib, ibp = divmod(int(np.argmax(np.abs(u[:, None] + v[None, :]))), n)
+    return ia, iap, ib, ibp
+
+
 def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     """Angles maximizing the CHSH parameter for a law, and the value there.
 
-    Stage 1 evaluates S on a grid of step pi/36 over [0, 2pi) in each of
-    the four angles, keeping the first maximum in lexicographic angle
-    order.  Stage 2 refines with compass search (probe +-step on each
-    coordinate, take the best improvement, halve the step on failure)
-    until the step drops below REFINE_STEP_FLOOR or the evaluation budget
-    runs out.  Compass search needs no derivatives, which the step law
-    does not have.
+    Stage 1 takes the first maximum, in lexicographic angle order, of S on
+    a grid of step pi/36 over [0, 2pi) in each angle.  With
+    m[i, j] = E(grid_i - grid_j) and (a, a') fixed, S = |u_b + v_b'| with
+    u_b = m[a,b] + m[a',b] and v_b' = m[a,b'] - m[a',b'].  Rounded addition
+    is monotone, so max |u_b + v_b'| = max(max u + max v, -(min u + min v))
+    bit for bit; an n^3 scan of these finds the first maximal (a, a'), and
+    one n x n pass on it the first maximal (b, b'), as an n^4 scan would.
+    Stage 2 refines with compass search (probe +-step on each coordinate,
+    take the best improvement, halve the step on failure) until the step
+    drops below REFINE_STEP_FLOOR or the evaluation budget runs out.
+    Compass search needs no derivatives, which the step law does not have.
     """
-    import numpy as np
-
-    n = 72
-    grid = [i * GRID_STEP for i in range(n)]
+    grid = [i * GRID_STEP for i in range(72)]
     # one correlator matrix serves all four angle pairs
-    m = np.empty((n, n))
-    for i, phi_u in enumerate(grid):
-        for j, phi_v in enumerate(grid):
-            m[i, j] = law.evaluate(Angle(phi_u - phi_v))
-
-    best_val = -1.0
-    best_idx = (0, 0, 0, 0)
-    # one (a', b, b') buffer for every a: a fresh 3 MB array per a costs
-    # page faults and, depending on heap history, peak memory
-    s = np.empty((n, n, n))
-    for ia in range(n):
-        # S[a', b, b'] = |(m[a,b] + m[a',b]) + (m[a,b'] - m[a',b'])|
-        c1 = m[ia, :][None, :] + m          # (a', b)
-        c2 = m[ia, :][None, :] - m          # (a', b')
-        np.add(c1[:, :, None], c2[:, None, :], out=s)
-        np.abs(s, out=s)
-        flat = int(np.argmax(s))
-        val = float(s.flat[flat])
-        if val > best_val:
-            iap, ib, ibp = np.unravel_index(flat, s.shape)
-            best_val = val
-            best_idx = (ia, int(iap), int(ib), int(ibp))
-
+    best_idx = _grid_argmax(
+        [[law.evaluate(Angle(phi_u - phi_v)) for phi_v in grid] for phi_u in grid]
+    )
     x = [grid[k] for k in best_idx]
 
     def f(angles: list[float]) -> float:

@@ -227,6 +227,13 @@ class TestChshCommands:
                           "--angles", "0,0,0,0")
         assert report["s_chsh"] == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["chsh", "energetic-chsh", "hierarchy"])
+    def test_angles_whose_difference_overflows_are_usage_error(self, capsys, command):
+        law = () if command == "hierarchy" else ("--law", "quantum")
+        code, out, err = run(capsys, command, *law, "--angles=1e308,0,-1e308,0")
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
     def test_chsh_bad_angles(self, capsys):
         code, _, err = run(capsys, "chsh", "--law", "classical", "--angles", "0,1,2")
         assert code == 2
@@ -358,6 +365,38 @@ class TestSzilardCommand:
         assert code == 2
         assert "temperature" in err
 
+    @pytest.mark.parametrize("partition", [("--optimal",), ("--x", "0.75")],
+                             ids=["optimal", "x"])
+    def test_nan_epsilon_is_usage_error(self, capsys, partition):
+        code, out, err = run(capsys, "szilard", "--epsilon", "nan", *partition,
+                             "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "error probability must be >= 0, got nan" in err
+
+    @pytest.mark.parametrize("x", ["0", "1", "nan", "-inf"])
+    def test_partition_outside_unit_interval_is_usage_error(self, capsys, x):
+        code, out, err = run(capsys, "szilard", "--epsilon", "0.25", f"--x={x}",
+                             "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "outside (0, 1)" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    @pytest.mark.parametrize("command", [
+        ("szilard", "--epsilon", "0.25", "--x", "0.75", "--trials", "10"),
+        ("verify",),
+    ], ids=lambda c: c[0])
+    def test_seed_outside_the_stream_state_space_is_usage_error(self, capsys,
+                                                               command, seed):
+        # -1 and 2**64 - 1 would otherwise draw the same stream
+        code, out, err = run(capsys, *command, f"--seed={seed}")
+        assert (code, out) == (2, "")
+        assert f"seed must be in [0, 2**64), got {seed}" in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        report = run_json(capsys, "szilard", "--epsilon", "0.25", "--x", "0.75",
+                          "--trials", "10", f"--seed={2**64 - 1}")
+        assert report["seed"] == 2**64 - 1
+
     def test_seeded_reruns_identical(self, capsys):
         args = ("szilard", "--epsilon", "0.25", "--x", "0.75",
                 "--trials", "10000", "--seed", "11")
@@ -412,6 +451,17 @@ class TestProcessBoundary:
         assert err == "corrwork: internal error: ArithmeticError: fit diverged\n"
         assert "Traceback" not in err
 
+    def test_library_value_error_is_internal_not_usage(self, capsys, monkeypatch):
+        def broken(law, anchor):
+            raise ValueError("anchor must be 0 or pi, got 2.0")
+
+        monkeypatch.setattr(cli, "fit_decay_exponent", broken)
+        code, out, err = run(capsys, "robustness")
+        assert code == cli.EXIT_INTERNAL
+        assert out == ""
+        assert err == ("corrwork: internal error: ValueError: "
+                       "anchor must be 0 or pi, got 2.0\n")
+
     def test_scalar_subcommands_never_load_numpy(self):
         code = (
             "import sys\n"
@@ -427,6 +477,47 @@ class TestProcessBoundary:
         result = subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+class TestBlasThreads:
+    """main caps OpenBLAS at one thread before numpy loads; a set value wins."""
+
+    CHILD = (
+        "import json, os, sys\n"
+        "from corrwork import cli\n"
+        "assert cli.main(['optimize-chsh', '--law', 'quantum']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "tasks = os.listdir('/proc/self/task') if sys.platform == 'linux' else []\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), len(tasks)]))\n"
+    )
+
+    def _child(self, **env):
+        """(OPENBLAS_NUM_THREADS, thread count) seen by a fresh child after main."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        child_env.update(PYTHONPATH=src, **env)
+        result = subprocess.run([sys.executable, "-c", self.CHILD], env=child_env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return tuple(json.loads(result.stdout.splitlines()[-1]))
+
+    def test_cli_child_sets_the_cap(self):
+        assert self._child()[0] == "1"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/task")
+    def test_cli_child_runs_one_thread(self):
+        assert self._child() == ("1", 1)
+
+    def test_user_setting_wins(self):
+        assert self._child(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+    def test_in_process_call_after_numpy_leaves_environment_alone(self, capsys,
+                                                                  monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert "numpy" in sys.modules
+        run_json(capsys, "optimize-chsh", "--law", "quantum")
+        assert dict(os.environ) == before
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from corrwork.laws import CorrelationLaw
+from corrwork.laws import Angle, CorrelationLaw
 from corrwork.nonlocality import (
+    GRID_STEP,
     TSIRELSON_BOUND,
     ChshSettings,
+    _grid_argmax,
     chsh_operator,
     chsh_operator_norm,
     chsh_value,
@@ -144,3 +149,89 @@ class TestMaximize:
         first = maximize_chsh(CorrelationLaw.quantum())
         second = maximize_chsh(CorrelationLaw.quantum())
         assert first == second
+
+
+def grid_argmax_reference(m):
+    """The n^4 scan: the first (a, a', b, b') in lexicographic order that maximizes
+    |(m[a,b] + m[a',b]) + (m[a,b'] - m[a',b'])|, one (a', b, b') cube per a."""
+    m = np.asarray(m)
+    best, best_index = -1.0, None
+    for a in range(len(m)):
+        cube = np.abs((m[a] + m)[:, :, None] + (m[a] - m)[:, None, :])
+        flat = int(np.argmax(cube))
+        if cube.flat[flat] > best:
+            best = cube.flat[flat]
+            best_index = (a, *(int(i) for i in np.unravel_index(flat, cube.shape)))
+    return best_index
+
+
+def law_grid(law):
+    grid = [i * GRID_STEP for i in range(72)]
+    return np.array([[law.evaluate(Angle(u - v)) for v in grid] for u in grid])
+
+
+def seeded_table(seed, knots=33):
+    """A jagged table law: knots at even angles, correlations uniform in [-1, 1)."""
+    stream = RandomStream(seed)
+    return CorrelationLaw.tabulated(
+        [(math.pi * k / (knots - 1), 2.0 * stream.next_uniform() - 1.0)
+         for k in range(knots)]
+    )
+
+
+def square(elements, max_n=9):
+    return st.integers(1, max_n).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=elements))
+
+
+NAMED_LAWS = [CorrelationLaw.classical(), CorrelationLaw.quantum(),
+              CorrelationLaw.superquantum()]
+
+
+class TestGridArgmax:
+    @pytest.mark.parametrize("law", NAMED_LAWS + [seeded_table(3)], ids=lambda l: l.name)
+    def test_law_grids_match_the_quartic_scan(self, law):
+        m = law_grid(law)
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=square(st.floats(-1.0, 1.0)))
+    def test_float_matrices_match_the_quartic_scan(self, m):
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=square(st.sampled_from([-1.0, 0.0, 1.0])))
+    def test_tie_heavy_matrices_keep_the_first_maximum(self, m):
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, -1.0])
+    def test_constant_grid_picks_the_first_tuple(self, value):
+        m = np.full((72, 72), value)
+        assert _grid_argmax(m) == grid_argmax_reference(m) == (0, 0, 0, 0)
+
+    def test_large_sign_matrix(self):
+        m = np.sign(np.sin(np.arange(72.0 * 72.0))).reshape(72, 72)
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+
+#: maximize_chsh results computed with the n^4 grid scan, compared with ==
+GOLDEN = {
+    "classical": (CorrelationLaw.classical(), 2.000000000000001,
+                  (0.0, 0.17453292519943295, 3.141592653589793, 0.6108652381980153)),
+    "quantum": (CorrelationLaw.quantum(), 2.8284271247461907,
+                (0.3490658503988659, 1.9198621771937625, 1.1344640137963142,
+                 5.8468529941810035)),
+    "superquantum": (CorrelationLaw.superquantum(), 4.0,
+                     (0.0, 0.17453292519943295, 0.0, 4.799655442984406)),
+    "table-3": (seeded_table(3), 3.005111670899704,
+                (0.4363323129985824, 2.498002491916884, 5.050546522958591,
+                 0.4363323129985824)),
+    "table-8": (seeded_table(8), 3.815134453000244,
+                (0.0, 0.7853981633974483, 1.5707963267948966, 4.71238898038469)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_maximize_matches_golden_results(name):
+    law, value, angles = GOLDEN[name]
+    assert maximize_chsh(law) == (ChshSettings(*angles), value)
