@@ -20,7 +20,9 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -185,15 +187,9 @@ class CorrelationLaw:
             return table[0][1]
         if t >= table[-1][0]:
             return table[-1][1]
-        lo, hi = 0, len(table) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if table[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
+        lo = bisect_right(table, t, key=itemgetter(0)) - 1
         t0, e0 = table[lo]
-        t1, e1 = table[hi]
+        t1, e1 = table[lo + 1]
         return e0 + (e1 - e0) * (t - t0) / (t1 - t0)
 
 

@@ -18,8 +18,9 @@ is real symmetric, and its spectral norm (via the in-repo Jacobi solver)
 never exceeds 2*sqrt(2).
 
 maximize_chsh searches the four angle settings for the largest S: an exact
-O(n^3) scan of the grid at step pi/36 followed by derivative-free compass
-refinement, chosen because the step law is discontinuous.
+O(n^3) scan of the grid at step pi/36, in plain Python over a list of
+floats, followed by derivative-free compass refinement, chosen because the
+step law is discontinuous.  This module never imports numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 from .jacobi import spectral_norm
 from .laws import Angle, CorrelationLaw
@@ -142,21 +144,23 @@ def chsh_operator_norm(settings: ChshSettings) -> float:
 
 def _grid_argmax(m) -> tuple[int, int, int, int]:
     """First (a, a', b, b') in lexicographic order maximizing
-    |(m[a,b] + m[a',b]) + (m[a,b'] - m[a',b'])| over an n x n matrix m."""
-    import numpy as np
-
-    m = np.asarray(m)
+    |(m[a][b] + m[a'][b]) + (m[a][b'] - m[a'][b'])| over an n x n matrix m."""
     n = len(m)
-    best = np.empty((n, n))
-    for ia in range(n):
-        u = m[ia] + m                       # (a', b)
-        v = m[ia] - m                       # (a', b')
-        np.maximum(u.max(axis=1) + v.max(axis=1), -(u.min(axis=1) + v.min(axis=1)),
-                   out=best[ia])
-    ia, iap = divmod(int(np.argmax(best)), n)
-    u, v = m[ia] + m[iap], m[ia] - m[iap]
-    ib, ibp = divmod(int(np.argmax(np.abs(u[:, None] + v[None, :]))), n)
-    return ia, iap, ib, ibp
+    best = [[0.0] * n for _ in range(n)]
+    for a, row in enumerate(m):
+        for ap in range(a, n):
+            u = list(map(add, row, m[ap]))
+            v = list(map(sub, row, m[ap]))
+            hi_u, lo_u, hi_v, lo_v = max(u), min(u), max(v), min(v)
+            best[a][ap] = max(hi_u + hi_v, -(lo_u + lo_v))
+            best[ap][a] = max(hi_u - lo_v, -(lo_u - hi_v))
+    top = max(map(max, best))
+    a, ap = next((a, row.index(top)) for a, row in enumerate(best) if top in row)
+    u = list(map(add, m[a], m[ap]))
+    v = list(map(sub, m[a], m[ap]))
+    b, bp = next((b, bp) for b, ub in enumerate(u) for bp, vb in enumerate(v)
+                 if abs(ub + vb) == top)
+    return a, ap, b, bp
 
 
 def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
@@ -167,8 +171,11 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     m[i, j] = E(grid_i - grid_j) and (a, a') fixed, S = |u_b + v_b'| with
     u_b = m[a,b] + m[a',b] and v_b' = m[a,b'] - m[a',b'].  Rounded addition
     is monotone, so max |u_b + v_b'| = max(max u + max v, -(min u + min v))
-    bit for bit; an n^3 scan of these finds the first maximal (a, a'), and
-    one n x n pass on it the first maximal (b, b'), as an n^4 scan would.
+    bit for bit.  The pair (a', a) has the same u (addition commutes) and
+    exactly -v, so its maximum max(max u - min v, -(min u - max v)) comes
+    from the same four extrema, and only the pairs a <= a' are scanned.
+    This n^3 scan finds the first maximal (a, a'), and one n x n pass on it
+    the first maximal (b, b'), as an n^4 scan would.
     Stage 2 refines with compass search (probe +-step on each coordinate,
     take the best improvement, halve the step on failure) until the step
     drops below REFINE_STEP_FLOOR or the evaluation budget runs out.

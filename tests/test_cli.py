@@ -433,6 +433,43 @@ class TestVerifyCommand:
                   for s in cli.random_settings(RandomStream(seed), 100)]
         assert max(values) > 2.0
 
+    @staticmethod
+    def mc_seed(seed):
+        """The seed that run_verify hands to its Szilard Monte Carlo."""
+        seen = []
+        simulate = cli.simulate
+
+        def recording(config):
+            seen.append(config.seed)
+            return simulate(config)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "simulate", recording)
+            cli.run_verify(seed)
+        (mc_seed,) = seen
+        return mc_seed
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_monte_carlo_does_not_replay_another_seeds_angles(self, seed):
+        # verify --seed s+11 draws its 100 lhv and 1000 Tsirelson settings,
+        # four words each, from RandomStream(s + 11)
+        angles = RandomStream(seed + 11)
+        angle_words = {angles.next_uint64() for _ in range(4 * 1100)}
+        mc = RandomStream(self.mc_seed(seed))
+        assert angle_words.isdisjoint(mc.next_uint64() for _ in range(4 * 1100))
+
+    def test_largest_seed_does_not_wrap_onto_seed_10(self):
+        # 2**64 - 1 + 11 would wrap, mod 2**64, onto the angle stream of seed 10
+        largest = self.mc_seed(2**64 - 1)
+        mc, angles = RandomStream(largest), RandomStream(10)
+        assert ([mc.next_uint64() for _ in range(4 * 1100)]
+                != [angles.next_uint64() for _ in range(4 * 1100)])
+        assert largest != self.mc_seed(10)
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_passes_for_small_seeds(self, seed):
+        assert cli.run_verify(seed)["passed"]
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "0")
         _, out2, _ = run(capsys, "verify", "--seed", "0")
@@ -462,13 +499,18 @@ class TestProcessBoundary:
         assert err == ("corrwork: internal error: ValueError: "
                        "anchor must be 0 or pi, got 2.0\n")
 
-    def test_scalar_subcommands_never_load_numpy(self):
+    def test_scalar_subcommands_never_load_numpy(self, tmp_path):
+        table = tmp_path / "law.csv"
+        table.write_text("theta_radians,e\n0.0,-1.0\n1.0,0.25\n3.0,0.75\n",
+                         encoding="utf-8")
         code = (
             "import sys\n"
             "import corrwork.cli as cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
             "for argv in (['hierarchy'], ['chsh', '--law', 'quantum'],\n"
-            "             ['energetic-chsh', '--law', 'classical'], ['robustness']):\n"
+            "             ['energetic-chsh', '--law', 'classical'], ['robustness'],\n"
+            "             ['optimize-chsh', '--law', 'quantum'],\n"
+            f"             ['optimize-chsh', '--law', {f'table:{table}'!r}]):\n"
             "    assert cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, argv\n"
         )
@@ -485,7 +527,8 @@ class TestBlasThreads:
     CHILD = (
         "import json, os, sys\n"
         "from corrwork import cli\n"
-        "assert cli.main(['optimize-chsh', '--law', 'quantum']) == 0\n"
+        "assert cli.main(['szilard', '--epsilon', '0.1', '--x', '0.5',\n"
+        "                 '--trials', '1000']) == 0\n"
         "assert 'numpy' in sys.modules\n"
         "tasks = os.listdir('/proc/self/task') if sys.platform == 'linux' else []\n"
         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), len(tasks)]))\n"
@@ -516,7 +559,8 @@ class TestBlasThreads:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         before = dict(os.environ)
         assert "numpy" in sys.modules
-        run_json(capsys, "optimize-chsh", "--law", "quantum")
+        run_json(capsys, "szilard", "--epsilon", "0.1", "--x", "0.5",
+                 "--trials", "1000")
         assert dict(os.environ) == before
 
 

@@ -116,6 +116,15 @@ class TestArrayTwins:
             want = law.evaluate(theta)
             assert abs(e - want) <= 4 * math.ulp(max(abs(e), abs(want))), theta
 
+    @given(law=TABLE_LAWS)
+    def test_table_evaluate_many_equals_evaluate_exactly(self, law):
+        knots = [theta for theta, _ in law.table]
+        thetas = [0.0, math.pi, *knots]
+        thetas += [(lo + hi) / 2.0 for lo, hi in zip(knots, knots[1:])]
+        thetas += [math.nextafter(k, d) for k in knots for d in (0.0, math.pi)]
+        got = law.evaluate_many(np.array(thetas)).tolist()
+        assert got == [law.evaluate(theta) for theta in thetas]
+
     def test_table_clamps_and_hits_knots(self):
         law = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
         got = law.evaluate_many(np.array([0.5, 1.0, 1.5, 2.0, 2.5]))
