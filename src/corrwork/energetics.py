@@ -28,7 +28,7 @@ step law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .information import mutual_information_law
 from .laws import Angle, CorrelationLaw, LawKind
@@ -67,8 +67,7 @@ def hierarchy_report(settings: ChshSettings) -> tuple[float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Power-law fit of the correlation deficit against misalignment."""
 
     exponent: float

@@ -21,7 +21,6 @@ import csv
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -30,18 +29,61 @@ if TYPE_CHECKING:
 
 _TWO_PI = 2.0 * math.pi
 
+#: sets a field of a _Frozen value; only its own __init__ may call it
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Angle:
+
+class _Frozen:
+    """Immutable value whose fields are its ``__slots__``.
+
+    Equality, hash and repr follow the fields in slot order.  The methods
+    are written out rather than generated by the standard library, whose
+    generator imports ``inspect`` and adds about 10 ms to the start-up of
+    every CLI process.  A subclass's ``__init__`` validates its arguments
+    and stores each field with ``_set``; assigning or deleting a field
+    afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__  # positional class patterns
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuilt through __init__, which maps a valid value to itself
+        return type(self), self._values()
+
+
+class Angle(_Frozen):
     """A relative measurement angle, stored canonically in [0, pi]."""
 
-    radians: float
+    __slots__ = ("radians",)
 
-    def __post_init__(self) -> None:
-        r = self.radians
-        if not isinstance(r, (int, float)) or not math.isfinite(r):
-            raise ValueError(f"angle must be a finite number, got {r!r}")
-        object.__setattr__(self, "radians", _reflect(float(r)))
+    def __init__(self, radians: float) -> None:
+        if not isinstance(radians, (int, float)) or not math.isfinite(radians):
+            raise ValueError(f"angle must be a finite number, got {radians!r}")
+        _set(self, "radians", _reflect(float(radians)))
 
 
 def _reflect(raw: float) -> float:
@@ -79,8 +121,7 @@ class LawKind(enum.Enum):
     TABULATED = "tabulated"
 
 
-@dataclass(frozen=True)
-class CorrelationLaw:
+class CorrelationLaw(_Frozen):
     """A total map from relative angle to a correlation value in [-1, 1].
 
     ``table`` is only set for the tabulated kind: canonical-angle knots,
@@ -88,15 +129,16 @@ class CorrelationLaw:
     knot range.
     """
 
-    kind: LawKind
-    table: tuple[tuple[float, float], ...] | None = None
+    __slots__ = ("kind", "table")
 
-    def __post_init__(self) -> None:
-        if self.kind is LawKind.TABULATED:
-            if not self.table:
+    def __init__(
+        self, kind: LawKind, table: tuple[tuple[float, float], ...] | None = None
+    ) -> None:
+        if kind is LawKind.TABULATED:
+            if not table:
                 raise ValueError("tabulated law requires a non-empty table")
             prev = -math.inf
-            for theta, e in self.table:
+            for theta, e in table:
                 if not (0.0 <= theta <= math.pi):
                     raise ValueError(
                         f"table angle {theta!r} outside canonical range [0, pi]"
@@ -106,8 +148,10 @@ class CorrelationLaw:
                 if not (-1.0 <= e <= 1.0):
                     raise ValueError(f"table correlation {e!r} outside [-1, 1]")
                 prev = theta
-        elif self.table is not None:
-            raise ValueError(f"{self.kind.value} law does not take a table")
+        elif table is not None:
+            raise ValueError(f"{kind.value} law does not take a table")
+        _set(self, "kind", kind)
+        _set(self, "table", table)
 
     @classmethod
     def classical(cls) -> "CorrelationLaw":
@@ -197,11 +241,12 @@ def tabulated_from_csv(path) -> CorrelationLaw:
     """Load a tabulated law from a two-column CSV ``theta_radians,e``.
 
     The file must carry exactly that header, strictly increasing angles in
-    [0, pi], and correlations in [-1, 1].  Parse errors name the offending
+    [0, pi], and correlations in [-1, 1].  It is read as UTF-8, with or
+    without a leading byte-order mark.  Parse errors name the offending
     line number.
     """
     knots: list[tuple[float, float]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

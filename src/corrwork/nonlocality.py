@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, sub
 
 from .jacobi import spectral_norm
-from .laws import Angle, CorrelationLaw
+from .laws import Angle, CorrelationLaw, _Frozen, _set
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -43,19 +42,18 @@ REFINE_STEP_FLOOR = 1e-7
 REFINE_MAX_EVALS = 10_000
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(_Frozen):
     """Four measurement angles (phi_a, phi_a', phi_b, phi_b') in radians."""
 
-    phi_a: float
-    phi_a_prime: float
-    phi_b: float
-    phi_b_prime: float
+    __slots__ = ("phi_a", "phi_a_prime", "phi_b", "phi_b_prime")
 
-    def __post_init__(self) -> None:
-        for name, phi in self.as_dict().items():
+    def __init__(
+        self, phi_a: float, phi_a_prime: float, phi_b: float, phi_b_prime: float
+    ) -> None:
+        for name, phi in zip(self.__slots__, (phi_a, phi_a_prime, phi_b, phi_b_prime)):
             if not isinstance(phi, (int, float)) or not math.isfinite(phi):
                 raise ValueError(f"{name} must be finite, got {phi!r}")
+            _set(self, name, phi)
 
     @classmethod
     def standard(cls) -> "ChshSettings":

@@ -30,34 +30,36 @@ trials and time is linear in it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .information import LN2, binary_entropy
+from .laws import _Frozen, _set
 from .rng import RandomStream
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(_Frozen):
     """Parameters of one Monte Carlo run."""
 
-    error_prob: float
-    partition_fraction: float
-    trials: int
-    seed: int
+    __slots__ = ("error_prob", "partition_fraction", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.error_prob <= 0.5):
-            raise ValueError(f"error_prob {self.error_prob!r} outside [0, 1/2]")
-        if not (0.0 < self.partition_fraction < 1.0):
+    def __init__(
+        self, error_prob: float, partition_fraction: float, trials: int, seed: int
+    ) -> None:
+        if not (0.0 <= error_prob <= 0.5):
+            raise ValueError(f"error_prob {error_prob!r} outside [0, 1/2]")
+        if not (0.0 < partition_fraction < 1.0):
             raise ValueError(
-                f"partition_fraction {self.partition_fraction!r} outside (0, 1)"
+                f"partition_fraction {partition_fraction!r} outside (0, 1)"
             )
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        _set(self, "error_prob", error_prob)
+        _set(self, "partition_fraction", partition_fraction)
+        _set(self, "trials", trials)
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     """Monte Carlo estimate of the mean work per cycle."""
 
     mean_work_kT: float
@@ -78,8 +80,7 @@ def expected_work(epsilon: float, x: float) -> float:
     return (1.0 - epsilon) * math.log(2.0 * x) + epsilon * math.log(2.0 * (1.0 - x))
 
 
-@dataclass(frozen=True)
-class PartitionOptimum:
+class PartitionOptimum(NamedTuple):
     """Best final partition position and the work it yields."""
 
     x_opt: float

@@ -208,6 +208,26 @@ class TestSweep:
         assert code == 2
         assert "line 3" in err
 
+    def test_table_with_byte_order_mark_reads_like_one_without(self, capsys, tmp_path):
+        text = "theta_radians,e\r\n0.0,-1.0\r\n1.0,0.25\r\n3.0,0.75\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        reports = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, "chsh", "--law", f"table:{path}")
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+    def test_non_utf8_table_is_usage_error(self, capsys, tmp_path):
+        law_csv = tmp_path / "law.csv"
+        law_csv.write_bytes(b"theta_radians,e\n0.0,-1.0\n\xff\xfe,0.5\n")
+        code, out, err = run(capsys, "chsh", "--law", f"table:{law_csv}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("corrwork: error: ")
+
     def test_missing_table_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--law", f"table:{tmp_path}/nope.csv",
                          "--out", str(tmp_path / "t.csv"))
@@ -513,6 +533,30 @@ class TestProcessBoundary:
             f"             ['optimize-chsh', '--law', {f'table:{table}'!r}]):\n"
             "    assert cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, argv\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_cli_never_loads_dataclasses_or_inspect(self):
+        # importing dataclasses loads inspect, ast, dis and tokenize: about
+        # 10 ms of start-up in every CLI process
+        code = (
+            "import sys\n"
+            "import corrwork.cli as cli\n"
+            "heavy = ('dataclasses', 'inspect')\n"
+            "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+            "for argv in (['--version'], ['chsh', '--law', 'quantum'],\n"
+            "             ['optimize-chsh', '--law', 'quantum']):\n"
+            "    try:\n"
+            "        code = cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "    assert code == 0, argv\n"
+            "    loaded = [m for m in heavy if m in sys.modules]\n"
+            "    assert not loaded, (argv, loaded)\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
