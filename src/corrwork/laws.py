@@ -17,7 +17,6 @@ imported only when an array routine runs.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from bisect import bisect_right
@@ -245,6 +244,8 @@ def tabulated_from_csv(path) -> CorrelationLaw:
     without a leading byte-order mark.  Parse errors name the offending
     line number.
     """
+    import csv  # lazily: only table laws read a CSV
+
     knots: list[tuple[float, float]] = []
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)

@@ -20,7 +20,10 @@ never exceeds 2*sqrt(2).
 maximize_chsh searches the four angle settings for the largest S: an exact
 O(n^3) scan of the grid at step pi/36, in plain Python over a list of
 floats, followed by derivative-free compass refinement, chosen because the
-step law is discontinuous.  This module never imports numpy.
+step law is discontinuous.  The scan skips every pair of rows that a bound
+from the grid's near-circulant structure proves below the maximum, which
+leaves a few hundred of 2628 pairs for smooth laws.  This module never
+imports numpy.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 GRID_STEP = math.pi / 36.0
 #: refinement stops once the compass step falls below this
 REFINE_STEP_FLOOR = 1e-7
-#: hard cap on refinement evaluations
+#: hard cap on refinement probes, besides the grid optimum's own evaluation
 REFINE_MAX_EVALS = 10_000
+#: one compass round: +-step on each of the four angles
+_PROBES = tuple(itertools.product(range(4), (1.0, -1.0)))
 
 
 class ChshSettings(_Frozen):
@@ -142,16 +147,33 @@ def chsh_operator_norm(settings: ChshSettings) -> float:
 
 def _grid_argmax(m) -> tuple[int, int, int, int]:
     """First (a, a', b, b') in lexicographic order maximizing
-    |(m[a][b] + m[a'][b]) + (m[a][b'] - m[a'][b'])| over an n x n matrix m."""
+    |(m[a][b] + m[a'][b]) + (m[a][b'] - m[a'][b'])| over an n x n matrix m;
+    maximize_chsh's docstring proves the scan and its prune exact."""
     n = len(m)
-    best = [[0.0] * n for _ in range(n)]
-    for a, row in enumerate(m):
-        for ap in range(a, n):
+    best = [[-1.0] * n for _ in range(n)]
+
+    def scan(a: int, aps) -> None:
+        """Fill best[a][a'] and best[a'][a] for each a' in aps."""
+        row, best_a = m[a], best[a]
+        for ap in aps:
             u = list(map(add, row, m[ap]))
             v = list(map(sub, row, m[ap]))
             hi_u, lo_u, hi_v, lo_v = max(u), min(u), max(v), min(v)
-            best[a][ap] = max(hi_u + hi_v, -(lo_u + lo_v))
+            best_a[ap] = max(hi_u + hi_v, -(lo_u + lo_v))
             best[ap][a] = max(hi_u - lo_v, -(lo_u - hi_v))
+
+    scan(0, range(n))
+    floor = max(best[0] + [row[0] for row in best])
+    # delta[r] bounds how far row r strays from row 0 shifted by r, which
+    # row0_twice[n - r:] starts
+    row0_twice = list(m[0]) * 2
+    delta = [max(map(abs, map(sub, row, row0_twice[n - r:]))) for r, row in enumerate(m)]
+    slack = 2.0**-44 * (max(map(abs, row0_twice)) + max(delta))
+    lim = [b + 2.0 * d + slack for b, d in zip(best[0], delta)]
+    reach = [max(lim[d], lim[-d]) for d in range(n)]
+    for a in range(1, n):
+        scan(a, [ap for ap, r, d in zip(range(a, n), reach, delta[a:])
+                 if not r + 2.0 * (delta[a] + d) < floor])
     top = max(map(max, best))
     a, ap = next((a, row.index(top)) for a, row in enumerate(best) if top in row)
     u = list(map(add, m[a], m[ap]))
@@ -174,9 +196,29 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     from the same four extrema, and only the pairs a <= a' are scanned.
     This n^3 scan finds the first maximal (a, a'), and one n x n pass on it
     the first maximal (b, b'), as an n^4 scan would.
+    Most pairs need no scan.  A law depends on the relative angle only, so
+    row r of m is row 0 shifted by r up to rounding:
+    delta_r = max_b |m[r,b] - m[0,b-r]| (indices mod n).  Row 0 is scanned
+    first.  A later pair (a, a') with d = a' - a matches the pair (0, d)
+    term by term at (b-a, b'-a): the two terms from row a move by at most
+    delta_a each, those from row a' by delta_a', and those from row d of
+    (0, d) by delta_d.  So in exact arithmetic its maximum is at most
+    best[0][d] + 2(delta_a + delta_a' + delta_d), and that of (a', a) at most
+    best[0][n-d] + 2(delta_a + delta_a' + delta_{n-d}).  Rounded addition and
+    subtraction err by at most 2^-53 of their result (subnormal results are
+    exact) and doubling is exact, so all the rounding in the scanned values,
+    the deltas and the bounds stays far below the slack that each bound
+    adds, 2^-44 (max|m[0]| + max delta), which is at least 2^-44 max|m|.
+    A pair is scanned unless both bounds fall below the largest value of row
+    0's pairs; a skipped pair is then strictly below the maximum, so the
+    maximum, the first maximal (a, a') and the (b, b') pass are those of the
+    full scan, bit for bit.  Smooth laws scan a few hundred of the 2628
+    pairs; laws whose maximum ties across most offsets (classical,
+    superquantum) scan nearly all.
     Stage 2 refines with compass search (probe +-step on each coordinate,
     take the best improvement, halve the step on failure) until the step
-    drops below REFINE_STEP_FLOOR or the evaluation budget runs out.
+    drops below REFINE_STEP_FLOOR or REFINE_MAX_EVALS probes have run, which
+    may end a round part-way.
     Compass search needs no derivatives, which the step law does not have.
     """
     grid = [i * GRID_STEP for i in range(72)]
@@ -195,15 +237,14 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     while step >= REFINE_STEP_FLOOR and evals < REFINE_MAX_EVALS:
         best_probe = None
         best_probe_val = fx
-        for k in range(4):
-            for sign in (1.0, -1.0):
-                probe = list(x)
-                probe[k] += sign * step
-                val = f(probe)
-                evals += 1
-                if val > best_probe_val:
-                    best_probe = probe
-                    best_probe_val = val
+        for k, sign in _PROBES[:REFINE_MAX_EVALS - evals]:
+            probe = list(x)
+            probe[k] += sign * step
+            val = f(probe)
+            evals += 1
+            if val > best_probe_val:
+                best_probe = probe
+                best_probe_val = val
         if best_probe is None:
             step *= 0.5
         else:

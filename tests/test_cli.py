@@ -496,6 +496,14 @@ class TestVerifyCommand:
         assert out1 == out2
 
 
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports this corrwork; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 class TestProcessBoundary:
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def broken(law, anchor):
@@ -534,11 +542,7 @@ class TestProcessBoundary:
             "    assert cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, argv\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
+        run_fresh(code)
 
     def test_cli_never_loads_dataclasses_or_inspect(self):
         # importing dataclasses loads inspect, ast, dis and tokenize: about
@@ -558,11 +562,27 @@ class TestProcessBoundary:
             "    loaded = [m for m in heavy if m in sys.modules]\n"
             "    assert not loaded, (argv, loaded)\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
+        run_fresh(code)
+
+    def test_csv_loads_only_for_table_laws(self, tmp_path):
+        table = tmp_path / "law.csv"
+        table.write_text("theta_radians,e\n0.0,-1.0\n3.0,0.75\n", encoding="utf-8")
+        code = (
+            "import sys\n"
+            "import corrwork.cli as cli\n"
+            "assert 'csv' not in sys.modules, 'import'\n"
+            "for argv in (['--version'], ['chsh', '--law', 'quantum'],\n"
+            "             ['optimize-chsh', '--law', 'quantum']):\n"
+            "    try:\n"
+            "        code = cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "    assert code == 0, argv\n"
+            "    assert 'csv' not in sys.modules, argv\n"
+            f"assert cli.main(['chsh', '--law', {f'table:{table}'!r}]) == 0\n"
+            "assert 'csv' in sys.modules, 'table'\n"
+        )
+        run_fresh(code)
 
 
 class TestBlasThreads:

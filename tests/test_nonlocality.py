@@ -1,12 +1,14 @@
 """CHSH values, the local-realist ceiling, and the operator bound."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from corrwork import nonlocality
 from corrwork.laws import Angle, CorrelationLaw
 from corrwork.nonlocality import (
     GRID_STEP,
@@ -179,9 +181,68 @@ def seeded_table(seed, knots=33):
     )
 
 
+def smooth_table(seed, knots=1000):
+    """A noisy, damped singlet curve on jittered knots spanning [0, pi], shaped
+    like the tables of the reports-short benchmark workload."""
+    rng = random.Random(seed)
+    step = math.pi / (knots - 1)
+    thetas = [0.0, *(k * step + rng.uniform(-0.3, 0.3) * step for k in range(1, knots - 1)),
+              math.pi]
+    amp = rng.uniform(0.8, 1.0)
+    return CorrelationLaw.tabulated(
+        [(t, min(1.0, max(-1.0, -amp * math.cos(t) + rng.gauss(0.0, 0.02)))) for t in thetas])
+
+
 def square(elements, max_n=9):
     return st.integers(1, max_n).flatmap(
         lambda n: arrays(np.float64, (n, n), elements=elements))
+
+
+def circulant(base, moves=()):
+    """The matrix m[i][j] = base[j - i] (indices mod n), with (i, j, step) moves."""
+    n = len(base)
+    m = [[base[(j - i) % n] for j in range(n)] for i in range(n)]
+    for i, j, step in moves:
+        m[i][j] += step
+    return m
+
+
+@st.composite
+def near_circulant(draw, elements, max_n=7):
+    """A circulant matrix, the shape of a law grid, with entries nudged by one
+    ulp, one row's entries moved by a small step, and a few replaced."""
+    n = draw(st.integers(1, max_n))
+    m = circulant(draw(st.lists(elements, min_size=n, max_size=n)))
+    cols = st.integers(0, n - 1)
+    signs = st.sampled_from([-1.0, 1.0])
+    for i, j, sign in draw(st.lists(st.tuples(cols, cols, signs), max_size=n * n)):
+        m[i][j] = math.nextafter(m[i][j], sign * math.inf)
+    row, step = draw(cols), draw(st.sampled_from([2.0**-40, 1e-3, 0.1]))
+    for j, sign in draw(st.lists(st.tuples(cols, signs), max_size=3)):
+        m[row][j] += sign * step
+    for i, j, x in draw(st.lists(st.tuples(cols, cols, elements), max_size=2)):
+        m[i][j] = x
+    return m
+
+
+#: matrices whose maximal pair the prune would skip if it halved or dropped
+#: one term of its bound: 2 delta_a, 2 delta_a', 2 delta_d or the slack
+BOUND_WITNESSES = {
+    "delta-a": circulant([0.836, 0.937, 0.519, -0.487, -0.59, 0.279],
+                         [(1, 0, 0.1), (1, 1, 0.1), (1, 3, 0.1)]),
+    "delta-a-prime": circulant([0.0, -1.0, 0.0, -1.0], [(3, 0, -0.25), (3, 2, 0.25)]),
+    "delta-d": circulant([0.0, -1.0, 1.0, 1.0], [(1, 0, -0.25), (1, 2, 0.25)]),
+    "slack": [
+        [-0.25634098622090945, -0.24267387228920412, 0.7686579199379159,
+         0.22177116000540245],
+        [0.22177116000540242, -0.2563409862209095, -0.24267387228920412,
+         0.7686579199379158],
+        [0.7686579199379159, 0.22177116000540242, -0.2563409862209094,
+         -0.24267387228920415],
+        [-0.24267387228920415, 0.7686579199379159, 0.22177116000540242,
+         -0.2563409862209094],
+    ],
+}
 
 
 NAMED_LAWS = [CorrelationLaw.classical(), CorrelationLaw.quantum(),
@@ -193,6 +254,43 @@ class TestGridArgmax:
     def test_law_grids_match_the_quartic_scan(self, law):
         m = law_grid(law)
         assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    @pytest.mark.parametrize(
+        "law",
+        [smooth_table(seed) for seed in (1, 2, 3)]
+        + [seeded_table(5), seeded_table(8, knots=9),
+           CorrelationLaw.tabulated([(1.0, 0.25)])],
+        ids=["smooth-1", "smooth-2", "smooth-3", "jagged-5", "jagged-8-9", "one-knot"])
+    def test_table_grids_match_the_quartic_scan(self, law):
+        m = law_grid(law).tolist()
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(m=st.one_of(near_circulant(st.floats(-1.0, 1.0)),
+                       near_circulant(st.sampled_from([-1.0, 0.0, 1.0]))))
+    def test_near_circulant_matrices_match_the_quartic_scan(self, m):
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    @pytest.mark.parametrize("name", sorted(BOUND_WITNESSES))
+    def test_every_term_of_the_bound_is_needed(self, name):
+        m = BOUND_WITNESSES[name]
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+
+    def test_prune_skips_most_pairs_of_the_quantum_grid(self, monkeypatch):
+        # each scanned pair forms u with one map(add, ...) over n columns, and
+        # the (b, b') pass one more: counting add counts the scanned pairs
+        calls = 0
+
+        def counting_add(x, y):
+            nonlocal calls
+            calls += 1
+            return x + y
+
+        m = law_grid(CorrelationLaw.quantum()).tolist()
+        monkeypatch.setattr(nonlocality, "add", counting_add)
+        assert _grid_argmax(m) == grid_argmax_reference(m)
+        assert calls % 72 == 0
+        assert calls // 72 - 1 < 300  # of the 72 * 73 / 2 = 2628 pairs a <= a'
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(m=square(st.floats(-1.0, 1.0)))
@@ -228,6 +326,9 @@ GOLDEN = {
                  0.4363323129985824)),
     "table-8": (seeded_table(8), 3.815134453000244,
                 (0.0, 0.7853981633974483, 1.5707963267948966, 4.71238898038469)),
+    "smooth-5": (smooth_table(5), 2.862216587119082,
+                 (0.7013894126011712, 2.262951228316218, 4.623762974048488,
+                  3.0389615824235685)),
 }
 
 
@@ -235,3 +336,21 @@ GOLDEN = {
 def test_maximize_matches_golden_results(name):
     law, value, angles = GOLDEN[name]
     assert maximize_chsh(law) == (ChshSettings(*angles), value)
+
+
+@pytest.mark.parametrize("cap", [3, 10])
+def test_refinement_stops_at_the_probe_cap(monkeypatch, cap):
+    calls = 0
+
+    def counting_chsh_value(law, settings):
+        nonlocal calls
+        calls += 1
+        return chsh_value(law, settings)
+
+    monkeypatch.setattr(nonlocality, "REFINE_MAX_EVALS", cap)
+    monkeypatch.setattr(nonlocality, "chsh_value", counting_chsh_value)
+    law = CorrelationLaw.quantum()
+    angles, value = maximize_chsh(law)
+    # one evaluation of the grid optimum, then exactly cap probes
+    assert calls == 1 + cap
+    assert chsh_value(law, angles) == value
