@@ -12,8 +12,9 @@ Conventions:
     4 internal error (any other exception, a ValueError from the library too)
   - numpy's OpenBLAS runs single-threaded: main sets OPENBLAS_NUM_THREADS=1
     unless the environment sets it or numpy is already imported
-  - sweeps are computed and written in blocks of SWEEP_BLOCK rows; numpy is
-    loaded only by sweep, szilard and verify
+  - sweeps are computed and written in blocks of SWEEP_BLOCK rows; each block
+    is formatted by _sweepcsv, a numpy kernel whose bytes are exactly those
+    of "%.10g"; numpy is loaded only by sweep, szilard and verify
 
 Output depends only on the arguments (plus --seed where sampling is
 involved), so identical invocations produce byte-identical reports.
@@ -70,7 +71,6 @@ SWEEP_BLOCK = 4096
 
 #: every emitted float has 10 significant digits
 _FLOAT = "%.10g"
-_SWEEP_ROW = ",".join([_FLOAT] * 4) + "\n"
 
 
 class UsageError(Exception):
@@ -174,16 +174,19 @@ def build_sweep(
 
 def write_sweep_csv(rows, out_path: str) -> None:
     """Stream blocks of (theta, e, i_nats, w_kT) rows to a temporary file beside
-    ``out_path``, each block formatted in one call, then rename it into place;
-    on any failure the temporary file is removed."""
+    ``out_path``, each block formatted by the exact "%.10g" kernel of
+    _sweepcsv, then rename it into place; on any failure the temporary file
+    is removed."""
+    from ._sweepcsv import format_rows  # lazily: it builds numpy tables
+
     tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
-        handle = open(tmp, "x", encoding="utf-8", newline="")
+        handle = open(tmp, "xb")
         try:
             with handle:
-                handle.write("theta,e,i_nats,w_kT\n")
+                handle.write(b"theta,e,i_nats,w_kT\n")
                 for block in rows:
-                    handle.write(_SWEEP_ROW * len(block) % tuple(block.ravel().tolist()))
+                    handle.write(format_rows(block))
             os.replace(tmp, out_path)
         except BaseException:
             os.remove(tmp)

@@ -212,7 +212,7 @@ class CorrelationLaw(_Frozen):
             return -np.cos(t)
         if self.kind is LawKind.SUPERQUANTUM_STEP:
             return np.sign(2.0 * t / math.pi - 1.0)
-        knots, values = np.array(self.table).T
+        knots, values = _knot_arrays(self.table)
         if len(knots) == 1:
             return np.full_like(t, values[0])
         # clipping keeps the clamped lanes finite; np.where then picks the knot
@@ -234,6 +234,24 @@ class CorrelationLaw(_Frozen):
         t0, e0 = table[lo]
         t1, e1 = table[lo + 1]
         return e0 + (e1 - e0) * (t - t0) / (t1 - t0)
+
+
+#: (table, its knot and value arrays) of the last table law evaluated as an
+#: array; a sweep evaluates one law block after block
+_last_knots: tuple = (None, None)
+
+
+def _knot_arrays(table: tuple) -> np.ndarray:
+    """``np.array(table).T``, converted once per table object."""
+    global _last_knots
+    cached, arrays = _last_knots
+    if cached is not table:
+        import numpy as np
+
+        arrays = np.array(table).T
+        arrays.flags.writeable = False
+        _last_knots = (table, arrays)
+    return arrays
 
 
 def tabulated_from_csv(path) -> CorrelationLaw:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,38 @@ class TestSweep:
             # I comes from the block's own E column, not a second interpolation
             assert np.array_equal(block[:, 2], mutual_information_many(block[:, 1]))
             assert np.array_equal(block[:, 3], block[:, 2])
+
+    @pytest.mark.parametrize("steps", [2, cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK + 1, 100001])
+    @pytest.mark.parametrize("law", [
+        CorrelationLaw.classical(), CorrelationLaw.quantum(),
+        CorrelationLaw.superquantum(), CorrelationLaw.tabulated([(1.0, 0.25)]),
+        CorrelationLaw.tabulated([(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]),
+    ], ids=["classical", "quantum", "superquantum", "one-knot", "four-knot"])
+    def test_csv_is_percent_formatting_of_the_rows(self, tmp_path, law, steps):
+        out = tmp_path / "s.csv"
+        cli.write_sweep_csv(cli.build_sweep(law, 0.0, math.pi, steps), str(out))
+        expected = ["theta,e,i_nats,w_kT\n"]
+        for block in cli.build_sweep(law, 0.0, math.pi, steps):
+            for row in block.tolist():
+                expected.append("%.10g,%.10g,%.10g,%.10g\n" % tuple(row))
+        assert out.read_bytes() == "".join(expected).encode("ascii")
+
+    def test_memory_is_flat_in_steps(self, tmp_path):
+        def peak(steps):
+            rows = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, steps)
+            tracemalloc.start()
+            try:
+                cli.write_sweep_csv(rows, str(tmp_path / "m.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # numpy and the formatting kernel load outside the measured runs
+        small, large = peak(10**4), peak(2 * 10**5)
+        assert large < 4 * 2**20
+        # a block's text (about 230 kB) varies by some kB with its digits;
+        # keeping the rows or the text would add about 12 MB
+        assert large <= small + 64 * 2**10, (small, large)
 
     def test_directory_target_is_io_error_without_leftovers(self, capsys, tmp_path):
         (tmp_path / "d").mkdir()
@@ -561,6 +594,29 @@ class TestProcessBoundary:
             "    assert code == 0, argv\n"
             "    loaded = [m for m in heavy if m in sys.modules]\n"
             "    assert not loaded, (argv, loaded)\n"
+        )
+        run_fresh(code)
+
+    def test_sweep_kernel_loads_only_for_sweeps(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import corrwork.cli as cli\n"
+            "kernel = 'corrwork._sweepcsv'\n"
+            "assert kernel not in sys.modules, 'import'\n"
+            "for argv in (['--version'], ['chsh', '--law', 'quantum'],\n"
+            "             ['optimize-chsh', '--law', 'quantum'],\n"
+            "             ['energetic-chsh', '--law', 'classical'], ['hierarchy'],\n"
+            "             ['robustness'],\n"
+            "             ['szilard', '--epsilon', '0.1', '--x', '0.5', '--trials', '10']):\n"
+            "    try:\n"
+            "        code = cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "    assert code == 0, argv\n"
+            "    assert kernel not in sys.modules, argv\n"
+            f"out = {str(tmp_path / 's.csv')!r}\n"
+            "assert cli.main(['sweep', '--law', 'quantum', '--steps', '3', '--out', out]) == 0\n"
+            "assert kernel in sys.modules, 'sweep'\n"
         )
         run_fresh(code)
 

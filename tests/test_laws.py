@@ -132,6 +132,15 @@ class TestArrayTwins:
         single = CorrelationLaw.tabulated([(1.0, 0.25)])
         assert single.evaluate_many(np.array([0.0, 1.0, 3.0])).tolist() == [0.25] * 3
 
+    def test_alternating_tables_each_use_their_own_knots(self):
+        # the knot arrays are converted once per table object, not per call
+        rising = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
+        falling = CorrelationLaw.tabulated([(1.0, 0.5), (2.0, -0.5)])
+        theta = np.array([0.5, 1.25, 1.5, 2.5])
+        for law in (rising, falling, rising, falling):
+            got = law.evaluate_many(theta).tolist()
+            assert got == [law.evaluate(t) for t in theta.tolist()]
+
 
 class TestTabulatedLaw:
     def test_interpolates_between_knots(self):

@@ -1,0 +1,121 @@
+"""The sweep CSV kernel: its bytes are exactly those of "%.10g"."""
+
+import math
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from corrwork import _sweepcsv
+from corrwork._sweepcsv import format_rows
+
+
+def reference(block) -> bytes:
+    """What the kernel must return: "%" formatting of the whole block."""
+    k, c = block.shape
+    line = ",".join(["%.10g"] * c) + "\n"
+    return ((line * k) % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def as_block(values, c=4):
+    """``values`` padded with zeros to a (k, c) block."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    pad = -len(values) % c
+    return np.concatenate([values, np.zeros(pad)]).reshape(-1, c)
+
+
+def assert_formats_like_percent(values):
+    block = as_block(values)
+    got, want = format_rows(block), reference(block)
+    if got != want:
+        wrong = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(wrong)} lines differ, first {wrong[:3]}")
+
+
+def neighbours(values):
+    """Each value and the doubles one ulp below and above it."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)])
+
+
+def _midpoint(digits: int, exponent: int) -> float:
+    """The double nearest to the 11-digit decimal digits.5 * 10**(exponent - 9)."""
+    return float(Decimal(2 * digits + 1) / 2 * Decimal(10) ** (exponent - 9))
+
+
+VALUES = st.one_of(
+    st.floats(),  # +-0, subnormals, +-inf, NaN, |x| >= 10
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.floats(min_value=1e-300, max_value=1e-4),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-290,
+                     9.9999999995, 9.99999999996, 10.0, math.pi, math.log(2.0)]),
+    st.builds(_midpoint, st.integers(10**9, 10**10 - 1), st.integers(-300, 0)),
+)
+
+
+class TestKernel:
+    @settings(max_examples=2000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.binary(max_size=8 * 16), st.lists(VALUES, min_size=1, max_size=8))
+    def test_block_matches_percent_formatting(self, raw, values):
+        bits = np.frombuffer(raw[: len(raw) // 8 * 8], dtype="<u8")  # any bit pattern
+        block = as_block(np.concatenate([bits.view("<f8"), values]))
+        assert format_rows(block) == reference(block)
+
+    @pytest.mark.parametrize("exponent", [0, -1, -2, -3, -4, -5, -12, -22, -23, -99,
+                                          -100, -150, -250, -290])
+    def test_decimal_midpoints_and_their_neighbours(self, exponent):
+        rng = np.random.default_rng(-exponent)
+        digits = rng.integers(10**9, 10**10, 400).tolist()
+        assert_formats_like_percent(neighbours([_midpoint(d, exponent) for d in digits]))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{e}") for e in range(0, -301, -1)]
+        assert_formats_like_percent(np.concatenate([neighbours(powers),
+                                                    -neighbours(powers)]))
+
+    def test_values_that_round_up_to_the_next_decade(self):
+        # N rounds to 10**10: the digits become 1 and the exponent grows,
+        # which can change the layout class
+        edges = [9.9999999995, 9.99999999951, 0.99999999996, 0.000099999999996,
+                 9.99999999996e-5, 9.999999999951e-6, 9.9999999996e-100,
+                 9.9999999996e-11, 9.99999999996e-290]
+        assert_formats_like_percent(neighbours(edges + [-e for e in edges]))
+
+    def test_two_and_three_digit_exponents(self):
+        values = [1.5e-5, 1.234567891e-10, 4.2e-99, 9.87654321e-100, 1.0e-100,
+                  3.3e-150, 7.77e-289, 1e-290, 2.2250738585072014e-308, 5e-324]
+        assert_formats_like_percent(values + [-v for v in values])
+
+    def test_fixed_classes_and_trailing_zeros(self):
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 0.1, 0.01, 0.001, 0.0001, 0.00012,
+                  1.5, 2.000000001, 3.14159265358979, 0.1000000001, 0.0001234567891]
+        assert_formats_like_percent(values + [-v for v in values])
+
+    def test_exact_ties_round_half_even(self):
+        # j / 1024 (X = 0) and j / 2048 (X = -1) for odd j have 11 significant
+        # digits ending in 5: exact ties for 10 digits
+        assert_formats_like_percent([1025 / 1024, 1027 / 1024, 10239 / 1024,
+                                     205 / 2048, -1025 / 1024])
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
+    def test_any_column_count(self, c):
+        rng = np.random.default_rng(c)
+        block = rng.uniform(-1.0, 1.0, (33, c)) * 10.0 ** rng.integers(-40, 1, (33, c))
+        block[0, 0], block[-1, -1] = math.nan, 0.0
+        assert format_rows(block) == reference(block)
+
+    def test_sweep_values_take_the_vector_path(self):
+        theta = np.linspace(0.0, math.pi, 4097)
+        e = -np.cos(theta)
+        values = np.concatenate([theta, e, np.abs(e) * 0.69, [0.0, -0.0, 1e-290]])
+        *_, slow = _sweepcsv._round(values)
+        assert not slow.any()
+
+    def test_values_outside_the_domain_take_the_fallback(self):
+        values = np.array([math.nan, math.inf, -math.inf, 5e-324, 9e-291, 10.0, -10.0,
+                           9.9999999996, 1.0009765625])
+        *_, slow = _sweepcsv._round(values)
+        assert slow.all()

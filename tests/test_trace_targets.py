@@ -36,3 +36,21 @@ def test_tracer_installs_every_target_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert nonlocality.maximize_chsh is original
     assert corrwork.maximize_chsh is cli.maximize_chsh is original
+
+
+def test_sweep_hooks_count_rows_and_bytes(monkeypatch, tmp_path, capsys):
+    # the hooks bind build_sweep's ``steps`` and write_sweep_csv's ``out_path``
+    # by name; a renamed argument would fail here rather than in a traced run
+    tr = load_tracer(monkeypatch)
+    out = tmp_path / "s.csv"
+    tracer = tr.Tracer()
+    tracer.install(tr.TARGETS, "corrwork")
+    try:
+        code = cli.main(["sweep", "--law", "quantum", "--steps", "5001",
+                         "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert tracer.counts["cli.build_sweep.rows"] == 5001
+    assert tracer.counts["cli.write_sweep_csv.bytes"] == out.stat().st_size
+    assert tracer.calls["cli.main"] == 1 and tracer.counts["cli.main.errors"] == 0
