@@ -16,7 +16,6 @@ from .energetics import (
 from .information import (
     LN2,
     binary_entropy,
-    information_curve,
     mutual_information,
     mutual_information_law,
     mutual_information_many,
@@ -63,7 +62,6 @@ __all__ = [
     "expected_work",
     "fit_decay_exponent",
     "hierarchy_report",
-    "information_curve",
     "lhv_deterministic_max",
     "maximize_chsh",
     "mutual_information",

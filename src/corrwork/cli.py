@@ -37,7 +37,7 @@ from .energetics import (
 from .information import (
     LN2,
     binary_entropy,
-    information_curve,
+    mutual_information,
     mutual_information_law,
     mutual_information_many,
 )
@@ -166,7 +166,8 @@ def build_sweep(
         for start in range(0, steps, SWEEP_BLOCK):
             index = np.arange(start, min(start + SWEEP_BLOCK, steps))
             theta = theta_min + span * (index / (steps - 1))
-            e, i_nats = information_curve(law, theta)
+            e = law.evaluate_many(theta)
+            i_nats = mutual_information_many(e)
             yield np.column_stack((theta, e, i_nats, i_nats))
 
     return blocks()
@@ -320,7 +321,9 @@ def _cmd_szilard(args) -> int:
         "optimal": bool(args.optimal),
         "seed": args.seed,
         "n": args.trials,
-        "bound_kT": LN2 - binary_entropy(eps),
+        # ln 2 - h2(eps) cancels near eps = 1/2, even below 0; I(1 - 2 eps)
+        # does not, and 1 - 2 eps is exact for eps >= 1/4
+        "bound_kT": mutual_information(1.0 - 2.0 * eps),
     }
     if opt and opt.boundary:
         # 1 - eps rounds to 1, so every draw falls on the predicted side and
@@ -432,14 +435,23 @@ def run_verify(seed: int = 0) -> dict:
         "bound": TSIRELSON_BOUND,
     }
 
-    # 4. closed-form information curves against the generic route
+    # 4. each law's I(theta) against the paper's closed form ln 2 - h2(p(theta))
     grid_n = 10_000
     theta = math.pi * np.arange(grid_n) / (grid_n - 1)
+
+    def closed_form(p):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h2 = -p * np.log(p) - (1.0 - p) * np.log(1.0 - p)
+        return LN2 - np.where((p == 0.0) | (p == 1.0), 0.0, h2)  # 0 ln 0 = 0
+
     worst_gap = 0.0
-    for law in (classical, quantum, superquantum):
-        e, closed = information_curve(law, theta)
-        gap = float(np.max(np.abs(closed - mutual_information_many(e))))
-        worst_gap = max(worst_gap, gap)
+    for law, closed in (
+        (classical, closed_form(theta / math.pi)),
+        (quantum, closed_form(np.sin(theta / 2.0) ** 2)),
+        (superquantum, np.where(2.0 * theta / math.pi == 1.0, 0.0, LN2)),
+    ):
+        generic = mutual_information_many(law.evaluate_many(theta))
+        worst_gap = max(worst_gap, float(np.max(np.abs(closed - generic))))
     ok = _check(checks, "information.closed_vs_generic", worst_gap, 0.0, 1e-12)
     for law in (classical, quantum):
         for theta, tag in ((0.0, "0"), (math.pi, "pi")):

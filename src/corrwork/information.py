@@ -9,16 +9,10 @@ where h2(p) = -p ln p - (1-p) ln(1-p).  That difference cancels near E = 0,
 so mutual_information evaluates the same quantity as the power series
 sum_k E^(2k) / (2k(2k-1)) for |E| < 3/4 and as
 [(1+|E|) ln(1+|E|) + (1-|E|) ln(1-|E|)]/2 otherwise: near machine precision on
-all of [-1, 1], and never negative.  The named laws' closed forms give
-E = 2p - 1 from a probability p in the angle; the generic route through the
-law's E(theta) must agree with them to 1e-12.
-
-Each scalar function that a sweep needs has an array twin built from the same
-formulas (mutual_information_many, information_curve).  The series is plain
-arithmetic, so both twins give the same bits below |E| = 3/4; above it they
-differ only where numpy's log1p differs from the platform's, by at most a few
-ulp.  (Below 3/4 any log form would magnify a one-ulp log1p difference into
-six ulp of I.)
+all of [-1, 1], and never negative.  It is the one route to I:
+mutual_information_law applies it to law.evaluate(theta), and its array twin
+mutual_information_many gives the same bits below |E| = 3/4 and differs above
+it only where numpy's log1p differs from the platform's, by a few ulp.
 """
 
 from __future__ import annotations
@@ -26,10 +20,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .laws import Angle, CorrelationLaw, LawKind, _radians, canonical_radians
-
 if TYPE_CHECKING:
     import numpy as np
+
+    from .laws import Angle, CorrelationLaw
 
 LN2 = math.log(2.0)
 
@@ -86,41 +80,5 @@ def mutual_information_many(e) -> np.ndarray:
 
 
 def mutual_information_law(law: CorrelationLaw, theta: Angle | float) -> float:
-    """Mutual information of a law at an angle, via its closed form.
-
-    classical     ln 2 - h2(p), p = theta/pi
-    quantum       ln 2 - h2(p), p = sin^2(theta/2)
-    superquantum  ln 2 for theta != pi/2, else 0
-    tabulated     generic route through the interpolated correlation
-
-    The first two evaluate mutual_information(2p - 1).
-    """
-    t = _radians(theta)
-    if law.kind is LawKind.CLASSICAL_LINEAR:
-        return mutual_information(2.0 * (t / math.pi) - 1.0)
-    if law.kind is LawKind.QUANTUM_COSINE:
-        return mutual_information(2.0 * math.sin(t / 2.0) ** 2 - 1.0)
-    if law.kind is LawKind.SUPERQUANTUM_STEP:
-        return 0.0 if 2.0 * t / math.pi == 1.0 else LN2
+    """Mutual information of a law at an angle: I of its correlation E(theta)."""
     return mutual_information(law.evaluate(theta))
-
-
-def information_curve(law: CorrelationLaw, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of (law.evaluate, mutual_information_law): E and I at every
-    angle of ``theta``.
-
-    The named laws take I from the same closed forms as the scalar route; a
-    tabulated law has none, so its I comes from its own E column and each
-    angle is interpolated once.
-    """
-    import numpy as np
-
-    t = canonical_radians(theta)
-    e = law.evaluate_many(t)
-    if law.kind is LawKind.CLASSICAL_LINEAR:
-        return e, mutual_information_many(2.0 * (t / math.pi) - 1.0)
-    if law.kind is LawKind.QUANTUM_COSINE:
-        return e, mutual_information_many(2.0 * np.sin(t / 2.0) ** 2 - 1.0)
-    if law.kind is LawKind.SUPERQUANTUM_STEP:
-        return e, np.where(2.0 * t / math.pi == 1.0, 0.0, LN2)
-    return e, mutual_information_many(e)

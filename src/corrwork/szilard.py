@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .information import LN2, binary_entropy
+from .information import mutual_information
 from .laws import _Frozen, _set
 from .rng import RandomStream
 
@@ -94,15 +94,15 @@ def optimal_partition(epsilon: float) -> PartitionOptimum:
     The yield equals ln 2 - h2(eps), the mutual information of the memory
     bit, so the optimal cycle saturates the correlation-work bound.  When
     1 - eps rounds to 1 (eps = 0 included) there is no representable
-    interior optimum: the supremum ln 2 - h2(eps) sits at the boundary
-    x = 1 and is flagged as such.
+    interior optimum: the supremum ln 2 - h2(eps) = I(1 - 2 eps) sits at
+    the boundary x = 1 and is flagged as such.
     """
     if not (0.0 <= epsilon <= 0.5):
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1/2]")
     x_opt = 1.0 - epsilon
     if x_opt == 1.0:
-        return PartitionOptimum(x_opt=1.0, w_opt_kT=LN2 - binary_entropy(epsilon),
-                                boundary=True)
+        w_opt = mutual_information(1.0 - 2.0 * epsilon)
+        return PartitionOptimum(x_opt=1.0, w_opt_kT=w_opt, boundary=True)
     return PartitionOptimum(x_opt=x_opt, w_opt_kT=expected_work(epsilon, x_opt))
 
 

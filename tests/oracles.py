@@ -37,6 +37,41 @@ def mutual_information_mp(e: float) -> float:
         return float(((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / 2)
 
 
+def quantum_information_mp(theta: float) -> float:
+    """I(-cos theta) in mpmath, at the float theta taken exactly, rounded to a float.
+
+    At 120 digits the cancellation in I, about 2*17 digits for the
+    |cos theta| >= 6e-17 of any float theta near pi/2, still leaves ~80.
+    """
+    with mpmath.workdps(120):
+        x = -mpmath.cos(mpmath.mpf(theta))
+        return float(((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / 2)
+
+
+def bit_information_mp(eps: float) -> float:
+    """ln 2 - h2(eps) in mpmath for eps in [0, 1/2], rounded to a float.
+
+    For float eps < 1/2 the result is at least ~2^-107, so 80 digits leave
+    ~45 after the cancellation near eps = 1/2.
+    """
+    if eps == 0.5:
+        return 0.0
+    with mpmath.workdps(80):
+        x = mpmath.mpf(eps)
+        h2 = -x * mpmath.log(x) - (1 - x) * mpmath.log1p(-x) if eps > 0.0 else 0
+        return float(mpmath.log(2) - h2)
+
+
+def law_probability(name: str, theta: float) -> float:
+    """The paper's p(theta) = (1 + E)/2 of a named law at a canonical angle."""
+    if name == "classical":
+        return theta / math.pi
+    if name == "quantum":
+        return math.sin(theta / 2.0) ** 2
+    step = 2.0 * theta / math.pi  # superquantum: E = sgn(step - 1)
+    return 0.5 if step == 1.0 else float(step > 1.0)
+
+
 def joint_cells(e: float) -> tuple[float, float, float, float]:
     """P(x, y) = (1 + x*y*E) / 4 over the cells (+,+), (+,-), (-,+), (-,-)."""
     same, diff = (1.0 + e) / 4.0, (1.0 - e) / 4.0

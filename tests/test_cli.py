@@ -19,7 +19,7 @@ from corrwork.laws import CorrelationLaw
 from corrwork.nonlocality import chsh_value
 from corrwork.rng import RandomStream
 
-from oracles import h2_direct
+from oracles import bit_information_mp, h2_direct
 
 
 def run(capsys, *argv):
@@ -160,6 +160,18 @@ class TestSweep:
             # I comes from the block's own E column, not a second interpolation
             assert np.array_equal(block[:, 2], mutual_information_many(block[:, 1]))
             assert np.array_equal(block[:, 3], block[:, 2])
+
+    @pytest.mark.parametrize("law", [
+        CorrelationLaw.classical(), CorrelationLaw.quantum(),
+        CorrelationLaw.superquantum(),
+        CorrelationLaw.tabulated([(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]),
+    ], ids=["classical", "quantum", "superquantum", "tabulated"])
+    def test_blocks_take_i_from_the_one_array_route(self, law):
+        blocks = list(cli.build_sweep(law, 0.0, math.pi, 2 * cli.SWEEP_BLOCK + 7))
+        for block in blocks:
+            e = law.evaluate_many(block[:, 0])
+            assert np.array_equal(block[:, 1], e)
+            assert np.array_equal(block[:, 2], mutual_information_many(e))
 
     @pytest.mark.parametrize("steps", [2, cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK + 1, 100001])
     @pytest.mark.parametrize("law", [
@@ -383,6 +395,21 @@ class TestSzilardCommand:
         assert report["boundary_optimum"] is True
         assert report["x"] == 1.0
         assert report["mean_work_kT"] <= report["bound_kT"] + 1e-12
+
+    def test_bound_near_worthless_bit_is_not_negative(self, capsys):
+        # ln 2 - h2(eps) cancels to -1.1e-16 here; the bound is I(1 - 2 eps)
+        eps = 0.49999999498812764
+        report = run_json(capsys, "szilard", "--epsilon", repr(eps), "--x", "0.5",
+                          "--trials", "1000")
+        assert report["bound_kT"] >= 0.0
+        assert report["bound_kT"] == pytest.approx(bit_information_mp(eps), rel=1e-9)
+
+    def test_bound_near_worthless_bit_covers_the_optimum(self, capsys):
+        eps = 0.49999999999
+        report = run_json(capsys, "szilard", "--epsilon", repr(eps), "--optimal",
+                          "--trials", "1000")
+        assert report["bound_kT"] >= report["expected_work_kT"] > 0.0
+        assert report["bound_kT"] == pytest.approx(bit_information_mp(eps), rel=1e-9)
 
     @pytest.mark.parametrize("eps,trials", [
         ("0", "-5"), ("1e-17", "0"), ("0.1", "-5"), ("0.1", "0"),

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from corrwork.information import (
     LN2,
     binary_entropy,
-    information_curve,
     mutual_information,
     mutual_information_law,
     mutual_information_many,
@@ -22,7 +21,9 @@ from oracles import (
     I_AT_HALF_CORRELATION,
     h2_direct,
     joint_cells,
+    law_probability,
     mutual_information_mp,
+    quantum_information_mp,
     shannon_mutual_information,
 )
 
@@ -172,6 +173,18 @@ class TestMutualInformationAccuracy:
             theta = math.pi / 2.0 + k * 1e-10
             assert mutual_information_law(law, theta) >= 0.0, theta
 
+    def test_quantum_law_near_half_pi_against_mpmath(self):
+        # I ~ E^2/2 here, so an error of a few ulp in a cancelling E would
+        # show as a relative error of I many orders above I_REL_TOL
+        offsets = np.geomspace(1e-12, 1e-1, 400)
+        thetas = np.concatenate(([math.pi / 2.0], math.pi / 2.0 - offsets,
+                                 math.pi / 2.0 + offsets))
+        quantum = CorrelationLaw.quantum()
+        for theta in thetas.tolist():
+            want = quantum_information_mp(theta)
+            got = mutual_information_law(quantum, theta)
+            assert abs(got - want) <= I_REL_TOL * want, (theta, got, want)
+
     @given(e=st.floats(min_value=-2.0, max_value=2.0).filter(lambda e: abs(e) > 1.0))
     def test_domain_error_outside_unit_interval(self, e):
         with pytest.raises(ValueError):
@@ -201,13 +214,17 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.name)
     def test_closed_form_agrees_with_generic_route(self, law):
+        # the paper's I = ln 2 - h2(p(theta)) is the oracle here
         worst = 0.0
         for i in range(10_000):
             theta = Angle(math.pi * i / 9999)
-            closed = mutual_information_law(law, theta)
-            generic = mutual_information(law.evaluate(theta))
-            worst = max(worst, abs(closed - generic))
+            closed = LN2 - h2_direct(law_probability(law.name, theta.radians))
+            worst = max(worst, abs(mutual_information_law(law, theta) - closed))
         assert worst < 1e-12
+
+    @given(law=LAWS, theta=st.floats(min_value=-20.0, max_value=20.0))
+    def test_one_route_for_every_law(self, law, theta):
+        assert mutual_information_law(law, theta) == mutual_information(law.evaluate(theta))
 
     def test_tabulated_uses_generic_route(self):
         law = CorrelationLaw.tabulated([(0.0, -1.0), (math.pi, 1.0)])
@@ -243,19 +260,3 @@ class TestArrayKernels:
     def test_agrees_with_scalar_twin(self, es):
         for e, value in zip(es, mutual_information_many(np.array(es)).tolist()):
             assert within_ulps(value, mutual_information(e)), e
-
-    @settings(max_examples=200)
-    @given(law=LAWS, thetas=st.lists(st.floats(min_value=-20.0, max_value=20.0),
-                                     min_size=1, max_size=40))
-    def test_curve_agrees_with_scalar_twins(self, law, thetas):
-        e, i_nats = information_curve(law, np.array(thetas))
-        for theta, e_k, i_k in zip(thetas, e.tolist(), i_nats.tolist()):
-            assert within_ulps(e_k, law.evaluate(theta)), theta
-            assert within_ulps(i_k, mutual_information_law(law, theta)), theta
-
-    def test_named_laws_keep_their_closed_forms(self):
-        theta = np.array([0.0, math.pi / 2.0, math.pi])
-        for law in ALL_LAWS:
-            _, i_nats = information_curve(law, theta)
-            expected = [mutual_information_law(law, t) for t in theta.tolist()]
-            assert i_nats.tolist() == expected

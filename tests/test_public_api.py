@@ -10,17 +10,19 @@ PUBLIC = {
     "EngineConfig", "LN2", "LawKind", "PartitionOptimum", "RandomStream",
     "TSIRELSON_BOUND", "__version__", "binary_entropy", "chsh_operator",
     "chsh_operator_norm", "chsh_value", "energetic_chsh", "expected_work",
-    "fit_decay_exponent", "hierarchy_report", "information_curve",
-    "lhv_deterministic_max", "maximize_chsh", "mutual_information",
-    "mutual_information_law", "mutual_information_many", "optimal_partition",
-    "simulate", "spectral_norm", "symmetric_eigenvalues", "tabulated_from_csv",
+    "fit_decay_exponent", "hierarchy_report", "lhv_deterministic_max",
+    "maximize_chsh", "mutual_information", "mutual_information_law",
+    "mutual_information_many", "optimal_partition", "simulate", "spectral_norm",
+    "symmetric_eigenvalues", "tabulated_from_csv",
 }
 
-#: names that no subcommand, verify check or acceptance criterion reached
+#: names that no subcommand, verify check or acceptance criterion reached,
+#: and information_curve, a second route to I beside mutual_information_many
 RETIRED = (
     "JointDistribution", "joint_distribution", "sample_pair", "sample_pairs",
     "canonicalize_angle", "eval_classical", "eval_quantum", "eval_superquantum",
     "LedgerEntry", "ledger", "work_from_correlation", "conditional_entropy",
+    "information_curve",
 )
 
 

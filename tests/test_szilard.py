@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrwork.information import LN2, binary_entropy, mutual_information
 from corrwork.rng import RandomStream
@@ -15,7 +16,7 @@ from corrwork.szilard import (
     simulate,
 )
 
-from oracles import golden_section_max, h2_direct
+from oracles import bit_information_mp, golden_section_max, h2_direct
 
 
 class TestExpectedWork:
@@ -85,7 +86,8 @@ class TestOptimalPartition:
         opt = optimal_partition(eps)
         assert opt.boundary
         assert opt.x_opt == 1.0
-        assert opt.w_opt_kT == LN2 - binary_entropy(eps)
+        want = bit_information_mp(eps)
+        assert abs(opt.w_opt_kT - want) <= 1e-14 * want
 
     def test_smallest_interior_error(self):
         opt = optimal_partition(1e-16)
@@ -102,6 +104,26 @@ class TestOptimalPartition:
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
             optimal_partition(0.7)
+
+
+#: error probabilities over (0, 1/2], dense where ln 2 - h2(eps) is delicate:
+#: tiny eps (the boundary optimum) and eps near 1/2 (cancellation)
+ERRORS = st.one_of(
+    st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    st.floats(min_value=5e-324, max_value=1e-12),
+    st.floats(min_value=0.5 - 1e-6, max_value=0.5),
+)
+
+
+class TestWorkBound:
+    @settings(max_examples=500)
+    @given(eps=ERRORS)
+    def test_bound_is_information_of_the_bit_against_mpmath(self, eps):
+        # I(1 - 2 eps) is how szilard reports bound_kT and the boundary optimum
+        want = bit_information_mp(eps)
+        got = mutual_information(1.0 - 2.0 * eps)
+        assert got >= 0.0
+        assert abs(got - want) <= 1e-14 * want, (eps, got, want)
 
 
 class TestSimulate:
