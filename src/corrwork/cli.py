@@ -324,6 +324,8 @@ def _cmd_szilard(args) -> int:
         # ln 2 - h2(eps) cancels near eps = 1/2, even below 0; I(1 - 2 eps)
         # does not, and 1 - 2 eps is exact for eps >= 1/4
         "bound_kT": mutual_information(1.0 - 2.0 * eps),
+        # the optimum's yield is that same bound; W(eps, x) cancels near 1/2
+        "expected_work_kT": opt.w_opt_kT if opt else expected_work(eps, x),
     }
     if opt and opt.boundary:
         # 1 - eps rounds to 1, so every draw falls on the predicted side and
@@ -331,7 +333,6 @@ def _cmd_szilard(args) -> int:
         report["boundary_optimum"] = True
         report["mean_work_kT"] = LN2
         report["std_error"] = 0.0
-        report["expected_work_kT"] = opt.w_opt_kT
     else:
         config = EngineConfig(
             error_prob=eps, partition_fraction=x, trials=args.trials, seed=args.seed
@@ -339,7 +340,6 @@ def _cmd_szilard(args) -> int:
         result = simulate(config)
         report["mean_work_kT"] = result.mean_work_kT
         report["std_error"] = result.std_error
-        report["expected_work_kT"] = expected_work(eps, x)
     if args.temperature is not None:
         scale = BOLTZMANN_J_PER_K * args.temperature
         report["temperature_K"] = args.temperature
@@ -353,9 +353,10 @@ def _cmd_szilard(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check(checks, name, measured, expected, tol=0, *, at_most=False) -> bool:
+def _check(checks, name, measured, expected, tol=0, *, at_most=False) -> None:
     """Record a check: |measured - expected| <= tol, measured <= expected + tol
-    (``at_most``), or equal string flags; returns whether it passed."""
+    (``at_most``), or equal string flags.  The name's first dotted part is
+    its suite."""
     if at_most:
         ok = measured <= expected + tol
         expected = f"<= {_fmt(expected)}"
@@ -372,7 +373,6 @@ def _check(checks, name, measured, expected, tol=0, *, at_most=False) -> bool:
             "passed": ok,
         }
     )
-    return ok
 
 
 def random_settings(stream: RandomStream, n: int) -> Iterator[ChshSettings]:
@@ -386,7 +386,6 @@ def run_verify(seed: int = 0) -> dict:
     import numpy as np
 
     checks: list[dict] = []
-    suites: dict[str, bool] = {}
     classical = CorrelationLaw.classical()
     quantum = CorrelationLaw.quantum()
     superquantum = CorrelationLaw.superquantum()
@@ -397,10 +396,9 @@ def run_verify(seed: int = 0) -> dict:
     s_c = chsh_value(classical, standard)
     s_q = chsh_value(quantum, standard)
     s_s = chsh_value(superquantum, standard)
-    ok = _check(checks, "chsh.classical", s_c, 2.0, 1e-12)
-    ok &= _check(checks, "chsh.quantum", s_q, TSIRELSON_BOUND, 1e-12)
-    ok &= _check(checks, "chsh.superquantum", s_s, 4.0, 0.0)
-    suites["chsh"] = ok
+    _check(checks, "chsh.classical", s_c, 2.0, 1e-12)
+    _check(checks, "chsh.quantum", s_q, TSIRELSON_BOUND, 1e-12)
+    _check(checks, "chsh.superquantum", s_s, 4.0, 0.0)
     chsh_report = {"classical": s_c, "quantum": s_q, "superquantum": s_s}
 
     # 2. local realism: the 16 deterministic strategies reach exactly 2, and
@@ -410,10 +408,8 @@ def run_verify(seed: int = 0) -> dict:
     for settings in random_settings(stream, 100):
         worst = max(worst, abs(lhv_deterministic_max(settings) - 2.0))
         max_classical = max(max_classical, chsh_value(classical, settings))
-    ok = _check(checks, "lhv.max_deviation_from_2", worst, 0.0, 0.0)
-    ok &= _check(checks, "lhv.classical.max_chsh", max_classical, 2.0, 1e-12,
-                 at_most=True)
-    suites["lhv"] = ok
+    _check(checks, "lhv.max_deviation_from_2", worst, 0.0, 0.0)
+    _check(checks, "lhv.classical.max_chsh", max_classical, 2.0, 1e-12, at_most=True)
     lhv_report = {"settings_scanned": 100, "max_deviation_from_2": worst,
                   "max_classical_chsh": max_classical}
 
@@ -422,12 +418,8 @@ def run_verify(seed: int = 0) -> dict:
     for settings in random_settings(stream, 1000):
         max_norm = max(max_norm, chsh_operator_norm(settings))
     standard_norm = chsh_operator_norm(standard)
-    ok = _check(checks, "tsirelson.max_norm", max_norm, TSIRELSON_BOUND, 1e-9,
-                at_most=True)
-    ok &= _check(
-        checks, "tsirelson.standard_norm", standard_norm, TSIRELSON_BOUND, 1e-9
-    )
-    suites["tsirelson"] = ok
+    _check(checks, "tsirelson.max_norm", max_norm, TSIRELSON_BOUND, 1e-9, at_most=True)
+    _check(checks, "tsirelson.standard_norm", standard_norm, TSIRELSON_BOUND, 1e-9)
     tsirelson_report = {
         "settings_scanned": 1000,
         "max_norm": max_norm,
@@ -452,31 +444,30 @@ def run_verify(seed: int = 0) -> dict:
     ):
         generic = mutual_information_many(law.evaluate_many(theta))
         worst_gap = max(worst_gap, float(np.max(np.abs(closed - generic))))
-    ok = _check(checks, "information.closed_vs_generic", worst_gap, 0.0, 1e-12)
+    _check(checks, "information.closed_vs_generic", worst_gap, 0.0, 1e-12)
     for law in (classical, quantum):
         for theta, tag in ((0.0, "0"), (math.pi, "pi")):
-            ok &= _check(
+            _check(
                 checks,
                 f"information.{law.name}.endpoint_{tag}",
                 mutual_information_law(law, Angle(theta)),
                 LN2,
                 1e-12,
             )
-    ok &= _check(
+    _check(
         checks,
         "information.superquantum.at_half_pi",
         mutual_information_law(superquantum, Angle(math.pi / 2.0)),
         0.0,
         0.0,
     )
-    ok &= _check(
+    _check(
         checks,
         "information.superquantum.off_half_pi",
         mutual_information_law(superquantum, Angle(1.0)),
         LN2,
         0.0,
     )
-    suites["information"] = ok
     information_report = {"grid_points": grid_n, "max_closed_vs_generic_gap": worst_gap}
 
     # 5. energetic CHSH values and hierarchy
@@ -484,20 +475,17 @@ def run_verify(seed: int = 0) -> dict:
     expected_c = 2.0 * (LN2 - binary_entropy(0.25))
     expected_q = 2.0 * (LN2 - binary_entropy(math.sin(math.pi / 8.0) ** 2))
     expected_s = 2.0 * LN2
-    ok = _check(checks, "energetic_chsh.classical", w_c, expected_c, 1e-9)
-    ok &= _check(checks, "energetic_chsh.quantum", w_q, expected_q, 1e-9)
-    ok &= _check(checks, "energetic_chsh.superquantum", w_s, expected_s, 1e-9)
+    _check(checks, "energetic_chsh.classical", w_c, expected_c, 1e-9)
+    _check(checks, "energetic_chsh.quantum", w_q, expected_q, 1e-9)
+    _check(checks, "energetic_chsh.superquantum", w_s, expected_s, 1e-9)
     hierarchy = "strict" if w_c < w_q < w_s else "non-strict"
-    ok &= _check(checks, "energetic_chsh.hierarchy", hierarchy, "strict")
+    _check(checks, "energetic_chsh.hierarchy", hierarchy, "strict")
     for law, value in ((classical, w_c), (quantum, w_q), (superquantum, w_s)):
         reduced = abs(
             3.0 * mutual_information_law(law, Angle(math.pi / 4.0))
             - mutual_information_law(law, Angle(3.0 * math.pi / 4.0))
         )
-        ok &= _check(
-            checks, f"energetic_chsh.{law.name}.reduced_form", value, reduced, 1e-12
-        )
-    suites["energetic_chsh"] = ok
+        _check(checks, f"energetic_chsh.{law.name}.reduced_form", value, reduced, 1e-12)
     energetic_report = {
         "classical": w_c,
         "quantum": w_q,
@@ -505,31 +493,33 @@ def run_verify(seed: int = 0) -> dict:
         "hierarchy": hierarchy,
     }
 
-    # 6. Szilard engine: saturation, second law, Monte Carlo consistency
+    # 6. Szilard engine: saturation, second law, Monte Carlo consistency.  The
+    # engine's W(eps, x) at the optimum must meet the reported yield
+    # I(1 - 2 eps), and that yield the textbook ln 2 - h2(eps)
     worst_sat = 0.0
     for k in range(1, 11):
         eps = 0.05 * k
         opt = optimal_partition(eps)
-        worst_sat = max(worst_sat, abs(opt.w_opt_kT - (LN2 - binary_entropy(eps))))
-    ok = _check(checks, "szilard.saturation_gap", worst_sat, 0.0, 1e-12)
+        worst_sat = max(worst_sat,
+                        abs(expected_work(eps, opt.x_opt) - opt.w_opt_kT),
+                        abs(opt.w_opt_kT - (LN2 - binary_entropy(eps))))
+    _check(checks, "szilard.saturation_gap", worst_sat, 0.0, 1e-12)
     worst_excess = -math.inf
     for i in range(50):
         eps = 0.5 * i / 49.0
-        bound = LN2 - binary_entropy(eps)
+        bound = mutual_information(1.0 - 2.0 * eps)
         for j in range(50):
             x = (j + 1) / 51.0
             worst_excess = max(worst_excess, expected_work(eps, x) - bound)
-    ok &= _check(checks, "szilard.max_bound_excess", worst_excess, 0.0, 1e-12,
-                 at_most=True)
+    _check(checks, "szilard.max_bound_excess", worst_excess, 0.0, 1e-12, at_most=True)
     # seed + k would replay the settings stream of verify --seed (seed + k)
     mc = simulate(
         EngineConfig(error_prob=0.25, partition_fraction=0.75, trials=10**6,
                      seed=stream.next_uint64())
     )
     mc_gap = abs(mc.mean_work_kT - expected_work(0.25, 0.75))
-    ok &= _check(checks, "szilard.mc_gap_vs_4se", mc_gap, 4.0 * mc.std_error, 0.0,
-                 at_most=True)
-    suites["szilard"] = ok
+    _check(checks, "szilard.mc_gap_vs_4se", mc_gap, 4.0 * mc.std_error, 0.0,
+           at_most=True)
     szilard_report = {
         "saturation_gap": worst_sat,
         "max_bound_excess": worst_excess,
@@ -542,18 +532,16 @@ def run_verify(seed: int = 0) -> dict:
     fit_q = fit_decay_exponent(quantum, 0.0)
     fit_s = fit_decay_exponent(superquantum, 0.0)
     assert fit_c is not None and fit_q is not None
-    ok = _check(checks, "robustness.classical.exponent", fit_c.exponent, 1.0, 0.005)
-    ok &= _check(
-        checks, "robustness.classical.prefactor", fit_c.prefactor, 2.0 / math.pi, 1e-3
-    )
-    ok &= _check(checks, "robustness.classical.r2_deficit", 1.0 - fit_c.r_squared,
-                 0.001, 0.0, at_most=True)
-    ok &= _check(checks, "robustness.quantum.exponent", fit_q.exponent, 2.0, 0.01)
-    ok &= _check(checks, "robustness.quantum.r2_deficit", 1.0 - fit_q.r_squared,
-                 0.001, 0.0, at_most=True)
-    ok &= _check(checks, "robustness.superquantum",
-                 "flat" if fit_s is None else "fitted", "flat")
-    suites["robustness"] = ok
+    _check(checks, "robustness.classical.exponent", fit_c.exponent, 1.0, 0.005)
+    _check(checks, "robustness.classical.prefactor", fit_c.prefactor, 2.0 / math.pi,
+           1e-3)
+    _check(checks, "robustness.classical.r2_deficit", 1.0 - fit_c.r_squared,
+           0.001, 0.0, at_most=True)
+    _check(checks, "robustness.quantum.exponent", fit_q.exponent, 2.0, 0.01)
+    _check(checks, "robustness.quantum.r2_deficit", 1.0 - fit_q.r_squared,
+           0.001, 0.0, at_most=True)
+    _check(checks, "robustness.superquantum",
+           "flat" if fit_s is None else "fitted", "flat")
     robustness_report = {
         "classical": {"exponent": fit_c.exponent, "prefactor": fit_c.prefactor,
                       "r_squared": fit_c.r_squared},
@@ -561,6 +549,11 @@ def run_verify(seed: int = 0) -> dict:
         "superquantum": "flat",
     }
 
+    # a suite passes when every check named after it passed
+    suites: dict[str, bool] = {}
+    for c in checks:
+        suite = c["name"].split(".", 1)[0]
+        suites[suite] = suites.get(suite, True) and c["passed"]
     return {
         "passed": all(suites.values()),
         "suites_total": len(suites),

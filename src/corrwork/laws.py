@@ -138,14 +138,7 @@ class CorrelationLaw(_Frozen):
                 raise ValueError("tabulated law requires a non-empty table")
             prev = -math.inf
             for theta, e in table:
-                if not (0.0 <= theta <= math.pi):
-                    raise ValueError(
-                        f"table angle {theta!r} outside canonical range [0, pi]"
-                    )
-                if theta <= prev:
-                    raise ValueError("table angles must be strictly increasing")
-                if not (-1.0 <= e <= 1.0):
-                    raise ValueError(f"table correlation {e!r} outside [-1, 1]")
+                _check_knot(theta, e, prev)
                 prev = theta
         elif table is not None:
             raise ValueError(f"{kind.value} law does not take a table")
@@ -236,6 +229,17 @@ class CorrelationLaw(_Frozen):
         return e0 + (e1 - e0) * (t - t0) / (t1 - t0)
 
 
+def _check_knot(theta: float, e: float, prev: float, where: str = "") -> None:
+    """Reject a table knot unless theta is in [0, pi] and above ``prev``, the
+    previous knot's angle, and e is in [-1, 1]; ``where`` prefixes the message."""
+    if not (0.0 <= theta <= math.pi):
+        raise ValueError(f"{where}table angle {theta!r} outside canonical range [0, pi]")
+    if theta <= prev:
+        raise ValueError(f"{where}table angles must be strictly increasing")
+    if not (-1.0 <= e <= 1.0):
+        raise ValueError(f"{where}table correlation {e!r} outside [-1, 1]")
+
+
 #: (table, its knot and value arrays) of the last table law evaluated as an
 #: array; a sweep evaluates one law block after block
 _last_knots: tuple = (None, None)
@@ -282,12 +286,8 @@ def tabulated_from_csv(path) -> CorrelationLaw:
                 e = float(row[1])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
-            if not (0.0 <= theta <= math.pi):
-                raise ValueError(f"{path}: line {lineno}: theta {theta} outside [0, pi]")
-            if knots and theta <= knots[-1][0]:
-                raise ValueError(f"{path}: line {lineno}: theta must be strictly increasing")
-            if not (-1.0 <= e <= 1.0):
-                raise ValueError(f"{path}: line {lineno}: e {e} outside [-1, 1]")
+            prev = knots[-1][0] if knots else -math.inf
+            _check_knot(theta, e, prev, f"{path}: line {lineno}: ")
             knots.append((theta, e))
     if not knots:
         raise ValueError(f"{path}: no data rows")

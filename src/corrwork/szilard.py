@@ -13,9 +13,12 @@ in k_B*T units, so the expected work per cycle is
     W(eps, x) = (1 - eps) ln(2x) + eps ln(2(1 - x)).
 
 W is concave in x with its maximum at x = 1 - eps, where it equals
-ln 2 - h2(eps): exactly the mutual information of the bit, so the optimal
-protocol converts the whole correlation into work and no choice of x can
-do better.  eps = 0 pushes the optimum to the boundary x = 1 (plain
+ln 2 - h2(eps) = I(1 - 2 eps): exactly the mutual information of the bit,
+so the optimal protocol converts the whole correlation into work and no
+choice of x can do better.  optimal_partition reports that yield as
+mutual_information(1 - 2 eps), which stays accurate where W's two terms
+cancel near eps = 1/2; expected_work is W itself, the engine's closed form
+at any x.  eps = 0 pushes the optimum to the boundary x = 1 (plain
 expansion from half the box to all of it, worth ln 2); so does any eps
 small enough that 1 - eps rounds to 1.
 
@@ -91,19 +94,21 @@ class PartitionOptimum(NamedTuple):
 def optimal_partition(epsilon: float) -> PartitionOptimum:
     """Work-maximizing partition fraction x = 1 - eps and its yield.
 
-    The yield equals ln 2 - h2(eps), the mutual information of the memory
-    bit, so the optimal cycle saturates the correlation-work bound.  When
-    1 - eps rounds to 1 (eps = 0 included) there is no representable
-    interior optimum: the supremum ln 2 - h2(eps) = I(1 - 2 eps) sits at
-    the boundary x = 1 and is flagged as such.
+    The yield is I(1 - 2 eps) = ln 2 - h2(eps), the mutual information of
+    the memory bit, so the optimal cycle saturates the correlation-work
+    bound; it is computed as mutual_information(1 - 2 eps) for every eps,
+    and so never exceeds that bound.  When 1 - eps rounds to 1 (eps = 0
+    included) there is no representable interior optimum: the supremum
+    sits at the boundary x = 1 and is flagged as such.
     """
     if not (0.0 <= epsilon <= 0.5):
         raise ValueError(f"epsilon {epsilon!r} outside [0, 1/2]")
     x_opt = 1.0 - epsilon
-    if x_opt == 1.0:
-        w_opt = mutual_information(1.0 - 2.0 * epsilon)
-        return PartitionOptimum(x_opt=1.0, w_opt_kT=w_opt, boundary=True)
-    return PartitionOptimum(x_opt=x_opt, w_opt_kT=expected_work(epsilon, x_opt))
+    return PartitionOptimum(
+        x_opt=x_opt,
+        w_opt_kT=mutual_information(1.0 - 2.0 * epsilon),
+        boundary=x_opt == 1.0,
+    )
 
 
 def simulate(config: EngineConfig) -> CycleResult:

@@ -411,6 +411,12 @@ class TestSzilardCommand:
         assert report["bound_kT"] >= report["expected_work_kT"] > 0.0
         assert report["bound_kT"] == pytest.approx(bit_information_mp(eps), rel=1e-9)
 
+    def test_optimum_near_worthless_bit_is_its_bound(self, capsys):
+        # W(eps, 1 - eps) cancels to 7.4e-32 here, above I(1 - 2 eps) = 5.5e-32
+        report = run_json(capsys, "szilard", "--epsilon", "0.49999999999999983",
+                          "--optimal", "--trials", "1000")
+        assert report["expected_work_kT"] == report["bound_kT"] == 5.54667824e-32
+
     @pytest.mark.parametrize("eps,trials", [
         ("0", "-5"), ("1e-17", "0"), ("0.1", "-5"), ("0.1", "0"),
     ])
@@ -512,6 +518,17 @@ class TestVerifyCommand:
         values = [chsh_value(quantum, s)
                   for s in cli.random_settings(RandomStream(seed), 100)]
         assert max(values) > 2.0
+
+    def test_suite_verdicts_follow_their_checks(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "chsh_operator_norm", lambda settings: 3.0)
+        code, out, err = run(capsys, "verify")
+        report = json.loads(out)
+        assert code == cli.EXIT_VERIFY_FAILED
+        assert report["passed"] is False
+        assert (report["suites_total"], report["suites_passed"]) == (7, 6)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["tsirelson.max_norm", "tsirelson.standard_norm"]
+        assert err == "failed checks: tsirelson.max_norm, tsirelson.standard_norm\n"
 
     @staticmethod
     def mc_seed(seed):

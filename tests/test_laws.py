@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corrwork.laws import Angle, CorrelationLaw, canonical_radians, tabulated_from_csv
 
@@ -212,3 +212,41 @@ class TestTabulatedCsv:
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="line 1"):
             tabulated_from_csv(path)
+
+
+#: knot coordinates: in and out of range, non-finite, and a small pool of
+#: repeated values, so that sorted lists repeat angles
+KNOT_COORDINATES = st.one_of(
+    st.floats(min_value=-1.5, max_value=4.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, math.pi,
+                     math.nextafter(math.pi, 4.0)]),
+)
+KNOT_LISTS = st.lists(st.tuples(KNOT_COORDINATES, KNOT_COORDINATES),
+                      min_size=1, max_size=8)
+
+
+def _rejects(knots) -> bool:
+    try:
+        CorrelationLaw.tabulated(knots)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(knots=st.one_of(KNOT_LISTS, KNOT_LISTS.map(sorted)))
+def test_csv_loader_rejects_exactly_the_knots_the_constructor_rejects(tmp_path, knots):
+    path = tmp_path / "law.csv"
+    rows = "".join(f"{theta!r},{e!r}\n" for theta, e in knots)
+    path.write_text("theta_radians,e\n" + rows, encoding="utf-8")
+    try:
+        law = CorrelationLaw.tabulated(knots)
+    except ValueError as exc:
+        # the constructor reports the first knot that no prefix of the table
+        # may end in; the loader names that knot's line, header on line 1
+        bad = next(k for k in range(len(knots)) if _rejects(knots[:k + 1]))
+        with pytest.raises(ValueError) as info:
+            tabulated_from_csv(path)
+        assert str(info.value) == f"{path}: line {bad + 2}: {exc}"
+    else:
+        assert tabulated_from_csv(path) == law

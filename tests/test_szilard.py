@@ -125,6 +125,12 @@ class TestWorkBound:
         assert got >= 0.0
         assert abs(got - want) <= 1e-14 * want, (eps, got, want)
 
+    @settings(max_examples=500)
+    @given(eps=ERRORS)
+    def test_optimum_is_the_information_of_the_bit(self, eps):
+        # W(eps, 1 - eps) cancels near eps = 1/2 and could read above the bound
+        assert optimal_partition(eps).w_opt_kT == mutual_information(1.0 - 2.0 * eps)
+
 
 class TestSimulate:
     def test_zero_variance_when_bit_is_perfect(self):
