@@ -28,12 +28,8 @@ def load_perfbench(monkeypatch, name):
     return module
 
 
-def load_tracer(monkeypatch):
-    return load_perfbench(monkeypatch, "tracer")
-
-
 def test_tracer_installs_every_target_and_uninstalls(monkeypatch):
-    tr = load_tracer(monkeypatch)
+    tr = load_perfbench(monkeypatch, "tracer")
     original = nonlocality.maximize_chsh
     tracer = tr.Tracer()
     tracer.install(tr.TARGETS, "corrwork")
@@ -50,7 +46,7 @@ def test_tracer_installs_every_target_and_uninstalls(monkeypatch):
 def test_sweep_hooks_count_rows_and_bytes(monkeypatch, tmp_path, capsys):
     # the hooks bind build_sweep's ``steps`` and write_sweep_csv's ``out_path``
     # by name; a renamed argument would fail here rather than in a traced run
-    tr = load_tracer(monkeypatch)
+    tr = load_perfbench(monkeypatch, "tracer")
     out = tmp_path / "s.csv"
     tracer = tr.Tracer()
     tracer.install(tr.TARGETS, "corrwork")
@@ -73,7 +69,7 @@ def test_benchmark_ops_pass_the_benchmark_checks(monkeypatch, tmp_path, capsys, 
     workloads = load_perfbench(monkeypatch, "workloads")
     checks = load_perfbench(monkeypatch, "checks")
     run = load_perfbench(monkeypatch, "run")
-    tr = load_tracer(monkeypatch)
+    tr = load_perfbench(monkeypatch, "tracer")
     tracer = tr.Tracer()
     problems = []
     for op in workloads.generate(workload, 0, tmp_path):
