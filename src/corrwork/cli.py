@@ -37,7 +37,6 @@ from .energetics import (
 from .information import (
     LN2,
     binary_entropy,
-    mutual_information,
     mutual_information_law,
     mutual_information_many,
 )
@@ -278,15 +277,7 @@ def _cmd_robustness(args) -> int:
         CorrelationLaw.superquantum(),
     ):
         fit = fit_decay_exponent(law, anchor)
-        if fit is None:
-            report[law.name] = "flat"
-        else:
-            report[law.name] = {
-                "exponent": fit.exponent,
-                "prefactor": fit.prefactor,
-                "r_squared": fit.r_squared,
-                "window": list(fit.window),
-            }
+        report[law.name] = "flat" if fit is None else fit._asdict()
     _emit_json(report)
     return EXIT_OK
 
@@ -299,52 +290,36 @@ def _cmd_szilard(args) -> int:
     _check_temperature(args.temperature)
     _check_seed(args.seed)
     eps = args.epsilon
-    if eps > 0.5:
-        raise UsageError(
-            f"error probability {eps} exceeds 1/2: relabel the bit so that "
-            "the prediction is right more often than wrong"
+    try:
+        # the engine's own types check eps, x and trials
+        opt = optimal_partition(eps)
+        x = opt.x_opt if args.optimal else args.x
+        # the optimum's yield is the bound I(1 - 2 eps); W(eps, x) cancels near 1/2
+        work = opt.w_opt_kT if args.optimal else expected_work(eps, x)
+        config = EngineConfig(
+            error_prob=eps, partition_fraction=x, trials=args.trials, seed=args.seed
         )
-    if not eps >= 0.0:
-        raise UsageError(f"error probability must be >= 0, got {eps}")
-    if not (args.optimal or 0.0 < args.x < 1.0):
-        raise UsageError(f"partition fraction {args.x!r} outside (0, 1)")
-    # checked here, not only by EngineConfig, which the boundary branch skips
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
-
-    opt = optimal_partition(eps) if args.optimal else None
-    x = opt.x_opt if opt else args.x
-
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    result = simulate(config)
     report: dict = {
         "epsilon": eps,
         "x": x,
         "optimal": bool(args.optimal),
         "seed": args.seed,
         "n": args.trials,
-        # ln 2 - h2(eps) cancels near eps = 1/2, even below 0; I(1 - 2 eps)
-        # does not, and 1 - 2 eps is exact for eps >= 1/4
-        "bound_kT": mutual_information(1.0 - 2.0 * eps),
-        # the optimum's yield is that same bound; W(eps, x) cancels near 1/2
-        "expected_work_kT": opt.w_opt_kT if opt else expected_work(eps, x),
+        "bound_kT": opt.w_opt_kT,
+        "expected_work_kT": work,
+        "mean_work_kT": result.mean_work_kT,
+        "std_error": result.std_error,
     }
-    if opt and opt.boundary:
-        # 1 - eps rounds to 1, so every draw falls on the predicted side and
-        # every cycle of the boundary partition extracts ln 2
+    if args.optimal and opt.boundary:
         report["boundary_optimum"] = True
-        report["mean_work_kT"] = LN2
-        report["std_error"] = 0.0
-    else:
-        config = EngineConfig(
-            error_prob=eps, partition_fraction=x, trials=args.trials, seed=args.seed
-        )
-        result = simulate(config)
-        report["mean_work_kT"] = result.mean_work_kT
-        report["std_error"] = result.std_error
     if args.temperature is not None:
         scale = BOLTZMANN_J_PER_K * args.temperature
         report["temperature_K"] = args.temperature
-        report["mean_work_joules"] = report["mean_work_kT"] * scale
-        report["bound_joules"] = report["bound_kT"] * scale
+        report["mean_work_joules"] = result.mean_work_kT * scale
+        report["bound_joules"] = opt.w_opt_kT * scale
     _emit_json(report)
     return EXIT_OK
 
@@ -507,7 +482,7 @@ def run_verify(seed: int = 0) -> dict:
     worst_excess = -math.inf
     for i in range(50):
         eps = 0.5 * i / 49.0
-        bound = mutual_information(1.0 - 2.0 * eps)
+        bound = optimal_partition(eps).w_opt_kT
         for j in range(50):
             x = (j + 1) / 51.0
             worst_excess = max(worst_excess, expected_work(eps, x) - bound)
@@ -543,10 +518,8 @@ def run_verify(seed: int = 0) -> dict:
     _check(checks, "robustness.superquantum",
            "flat" if fit_s is None else "fitted", "flat")
     robustness_report = {
-        "classical": {"exponent": fit_c.exponent, "prefactor": fit_c.prefactor,
-                      "r_squared": fit_c.r_squared},
-        "quantum": {"exponent": fit_q.exponent, "r_squared": fit_q.r_squared},
-        "superquantum": "flat",
+        law.name: "flat" if fit is None else fit._asdict()
+        for law, fit in ((classical, fit_c), (quantum, fit_q), (superquantum, fit_s))
     }
 
     # a suite passes when every check named after it passed

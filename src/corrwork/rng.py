@@ -92,8 +92,6 @@ class RandomStream:
         words are compared against the integer limit ceil(p * 2**53) * 2**11,
         which is exact (see the module docstring).
         """
-        import numpy as np
-
         if n < 0:
             raise ValueError(f"count must be >= 0, got {n}")
         if not (0.0 <= p <= 1.0):
@@ -102,6 +100,8 @@ class RandomStream:
         if limit > _MASK64:
             self._state = (self._state + n * _GAMMA) & _MASK64
             return n
+        import numpy as np
+
         limit = np.uint64(limit)
         return sum(int(np.count_nonzero(words < limit))
                    for words in self._word_blocks(n))

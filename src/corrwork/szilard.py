@@ -20,7 +20,9 @@ mutual_information(1 - 2 eps), which stays accurate where W's two terms
 cancel near eps = 1/2; expected_work is W itself, the engine's closed form
 at any x.  eps = 0 pushes the optimum to the boundary x = 1 (plain
 expansion from half the box to all of it, worth ln 2); so does any eps
-small enough that 1 - eps rounds to 1.
+small enough that 1 - eps rounds to 1.  EngineConfig accepts x = 1 exactly
+there, where no draw lands on the wrong side, so simulate() runs that
+optimum like any other and returns ln 2 with zero standard error.
 
 simulate() runs the cycle as a Monte Carlo over bit correctness with the
 repo's counter-based stream, so results are reproducible from the seed
@@ -40,17 +42,32 @@ from .laws import _Frozen, _set
 from .rng import RandomStream
 
 
+def _check_error_prob(eps: float) -> None:
+    """The engine's rule for the memory bit's error probability: [0, 1/2]."""
+    if eps > 0.5:
+        raise ValueError(
+            f"error probability {eps} exceeds 1/2: relabel the bit so that "
+            "the prediction is right more often than wrong"
+        )
+    if not eps >= 0.0:
+        raise ValueError(f"error probability must be >= 0, got {eps}")
+
+
 class EngineConfig(_Frozen):
-    """Parameters of one Monte Carlo run."""
+    """Parameters of one Monte Carlo run.
+
+    The partition fraction lies in (0, 1), or is 1 when 1 - error_prob
+    rounds to 1: the boundary optimum, whose wrong branch is never drawn.
+    """
 
     __slots__ = ("error_prob", "partition_fraction", "trials", "seed")
 
     def __init__(
         self, error_prob: float, partition_fraction: float, trials: int, seed: int
     ) -> None:
-        if not (0.0 <= error_prob <= 0.5):
-            raise ValueError(f"error_prob {error_prob!r} outside [0, 1/2]")
-        if not (0.0 < partition_fraction < 1.0):
+        _check_error_prob(error_prob)
+        boundary = partition_fraction == 1.0 and 1.0 - error_prob == 1.0
+        if not (0.0 < partition_fraction < 1.0 or boundary):
             raise ValueError(
                 f"partition_fraction {partition_fraction!r} outside (0, 1)"
             )
@@ -76,8 +93,7 @@ def expected_work(epsilon: float, x: float) -> float:
     x outside (0, 1) is rejected: a branch would be compressed to zero
     volume, which costs unbounded work.
     """
-    if not (0.0 <= epsilon <= 0.5):
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1/2]")
+    _check_error_prob(epsilon)
     if not (0.0 < x < 1.0):
         raise ValueError(f"partition fraction {x!r} outside (0, 1)")
     return (1.0 - epsilon) * math.log(2.0 * x) + epsilon * math.log(2.0 * (1.0 - x))
@@ -101,8 +117,7 @@ def optimal_partition(epsilon: float) -> PartitionOptimum:
     included) there is no representable interior optimum: the supremum
     sits at the boundary x = 1 and is flagged as such.
     """
-    if not (0.0 <= epsilon <= 0.5):
-        raise ValueError(f"epsilon {epsilon!r} outside [0, 1/2]")
+    _check_error_prob(epsilon)
     x_opt = 1.0 - epsilon
     return PartitionOptimum(
         x_opt=x_opt,
@@ -117,16 +132,16 @@ def simulate(config: EngineConfig) -> CycleResult:
     Trial i draws the i-th uniform of the seed's stream; the bit is correct
     when it falls below 1 - eps, and the trial contributes the matching
     branch work.  The count of correct trials is exactly that of n
-    next_uniform() draws compared with 1 - eps in floating point.
+    next_uniform() draws compared with 1 - eps in floating point, so at the
+    boundary x = 1 every trial is correct and ln(0) is never taken.
     """
     eps = config.error_prob
     x = config.partition_fraction
     n = config.trials
-    w_correct = math.log(2.0 * x)
-    w_wrong = math.log(2.0 * (1.0 - x))
-
     correct = RandomStream(config.seed).count_below(n, 1.0 - eps)
     wrong = n - correct
+    w_correct = math.log(2.0 * x)
+    w_wrong = math.log(2.0 * (1.0 - x)) if wrong else 0.0
     if wrong == 0 or correct == 0:
         # every trial is the same branch: the mean is exact, variance zero
         mean = w_correct if wrong == 0 else w_wrong

@@ -18,6 +18,7 @@ from corrwork.information import LN2, binary_entropy, mutual_information_many
 from corrwork.laws import CorrelationLaw
 from corrwork.nonlocality import chsh_value
 from corrwork.rng import RandomStream
+from corrwork.szilard import EngineConfig, expected_work, optimal_partition
 
 from oracles import bit_information_mp, h2_direct
 
@@ -421,7 +422,8 @@ class TestSzilardCommand:
         ("0", "-5"), ("1e-17", "0"), ("0.1", "-5"), ("0.1", "0"),
     ])
     def test_non_positive_trials_is_usage_error(self, capsys, eps, trials):
-        # eps 0 and 1e-17 take the boundary branch, which never simulates
+        # eps 0 and 1e-17 reach the boundary optimum x = 1, which EngineConfig
+        # accepts, so its trials rule covers them as well
         code, out, err = run(capsys, "szilard", "--epsilon", eps, "--optimal",
                              "--trials", trials)
         assert code == 2
@@ -489,6 +491,64 @@ class TestSzilardCommand:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_boundary_optimum_golden(self, capsys):
+        # recorded when the boundary optimum bypassed the engine
+        code, out, _ = run(capsys, "szilard", "--epsilon", "0", "--optimal",
+                           "--trials", "1000", "--seed", "1", "--temperature", "300")
+        assert code == 0
+        assert out == (
+            '{\n'
+            '  "bound_joules": 2.870978885e-21,\n'
+            '  "bound_kT": 0.6931471806,\n'
+            '  "boundary_optimum": true,\n'
+            '  "epsilon": 0.0,\n'
+            '  "expected_work_kT": 0.6931471806,\n'
+            '  "mean_work_joules": 2.870978885e-21,\n'
+            '  "mean_work_kT": 0.6931471806,\n'
+            '  "n": 1000,\n'
+            '  "optimal": true,\n'
+            '  "seed": 1,\n'
+            '  "std_error": 0.0,\n'
+            '  "temperature_K": 300.0,\n'
+            '  "x": 1.0\n'
+            '}\n'
+        )
+
+    @staticmethod
+    def engine_rejects(eps, x, trials):
+        """Whether the engine's own types reject this run of ``szilard``."""
+        try:
+            opt = optimal_partition(eps)
+            if x is None:
+                x = opt.x_opt
+            else:
+                expected_work(eps, x)
+            EngineConfig(error_prob=eps, partition_fraction=x, trials=trials, seed=0)
+        except ValueError:
+            return True
+        return False
+
+    EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-17, 2**-54, 2**-53,
+                             1e-3, 0.5, math.nextafter(0.5, 0.0),
+                             math.nextafter(0.5, 1.0), 1.0, math.nextafter(1.0, 0.0),
+                             math.inf, -math.inf, math.nan])
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(eps=st.one_of(EDGES, st.floats()),
+           x=st.one_of(st.none(), EDGES, st.floats()),
+           trials=st.integers(-2, 1000))
+    def test_usage_error_exactly_when_the_engine_rejects(self, capsys, eps, x, trials):
+        partition = ("--optimal",) if x is None else (f"--x={x!r}",)
+        code, out, _ = run(capsys, "szilard", f"--epsilon={eps!r}", *partition,
+                           f"--trials={trials}")
+        if self.engine_rejects(eps, x, trials):
+            assert (code, out) == (cli.EXIT_USAGE, "")
+        else:
+            assert code == cli.EXIT_OK
+            report = json.loads(out)
+            assert report["n"] == trials and report["std_error"] >= 0.0
 
 
 class TestVerifyCommand:

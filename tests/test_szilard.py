@@ -233,6 +233,18 @@ class TestSimulate:
 
 
 class TestEngineConfig:
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-17, 2**-54])
+    def test_boundary_partition_where_one_minus_eps_rounds_to_one(self, eps):
+        # the wrong branch, to which x = 1 leaves no volume, is never drawn
+        config = EngineConfig(error_prob=eps, partition_fraction=1.0, trials=1000,
+                              seed=4)
+        assert simulate(config) == (LN2, 0.0, 1000)
+
+    @pytest.mark.parametrize("eps", [2**-53, 1e-3, 0.25])
+    def test_boundary_partition_rejected_where_a_trial_can_be_wrong(self, eps):
+        with pytest.raises(ValueError, match=r"^partition_fraction 1\.0 outside"):
+            EngineConfig(error_prob=eps, partition_fraction=1.0, trials=1000, seed=4)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -169,9 +169,10 @@ class TestValidatedTypes:
         assert law.table == TABLE and law.name == "tabulated"
 
     @pytest.mark.parametrize("field, bad, message", [
-        ("error_prob", -0.1, r"error_prob -0.1 outside \[0, 1/2\]"),
-        ("error_prob", 0.6, r"error_prob 0.6 outside \[0, 1/2\]"),
-        ("error_prob", math.nan, r"error_prob nan outside \[0, 1/2\]"),
+        ("error_prob", -0.1, "error probability must be >= 0, got -0.1"),
+        ("error_prob", 0.6, "error probability 0.6 exceeds 1/2: relabel the bit so "
+                            "that the prediction is right more often than wrong"),
+        ("error_prob", math.nan, "error probability must be >= 0, got nan"),
         ("partition_fraction", 0.0, r"partition_fraction 0.0 outside \(0, 1\)"),
         ("partition_fraction", 1.0, r"partition_fraction 1.0 outside \(0, 1\)"),
         ("trials", 0, "trials must be >= 1, got 0"),
