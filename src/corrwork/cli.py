@@ -123,11 +123,9 @@ def _parse_settings(text: str | None) -> ChshSettings:
     except ValueError as exc:
         raise UsageError(f"--angles: non-numeric field in {text!r}") from exc
     try:
-        settings = ChshSettings(*values)
-        settings.relative_angles()  # finite angles can still differ by inf
+        return ChshSettings(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return settings
 
 
 def _check_seed(seed: int) -> None:

@@ -10,12 +10,16 @@ the two-level operator construction caps the singlet value at 2*sqrt(2),
 and the algebra allows at most 4.
 
 The operator bound is checked constructively: with planar observables
-A(phi) = cos(phi) Z + sin(phi) X the 4x4 operator
+A(phi) = cos(phi) Z + sin(phi) X, the 4x4 operator
+A(a) (x) (A(b) + A(b')) + A(a') (x) (A(b) - A(b')) is the Pauli sum
 
-    B = A(phi_a) (x) (B(phi_b) + B(phi_b')) + A(phi_a') (x) (B(phi_b) - B(phi_b'))
+    B = alpha ZZ + beta ZX + gamma XZ + delta XX,
 
-is real symmetric, and its spectral norm (via the in-repo Jacobi solver)
-never exceeds 2*sqrt(2).
+alpha, beta = cos(a) p + cos(a') r, cos(a) q + cos(a') t and
+gamma, delta = sin(a) p + sin(a') r, sin(a) q + sin(a') t, where
+p, q = cos b + cos b', sin b + sin b' and r, t = cos b - cos b', sin b - sin b'.
+B is real symmetric by construction, and its spectral norm (via the in-repo
+Jacobi solver) never exceeds 2*sqrt(2).
 
 maximize_chsh searches the four angle settings for the largest S: an exact
 O(n^2) scan of the grid at step pi/36, in plain Python over an exactly
@@ -57,6 +61,12 @@ class ChshSettings(_Frozen):
             if not isinstance(phi, (int, float)) or not math.isfinite(phi):
                 raise ValueError(f"{name} must be finite, got {phi!r}")
             _set(self, name, phi)
+        # finite angles can still differ by inf, which no relative angle allows
+        for a in ("phi_a", "phi_a_prime"):
+            for b in ("phi_b", "phi_b_prime"):
+                diff = getattr(self, a) - getattr(self, b)
+                if not math.isfinite(diff):
+                    raise ValueError(f"{a} - {b} must be finite, got {diff!r}")
 
     @classmethod
     def standard(cls) -> "ChshSettings":
@@ -109,33 +119,22 @@ def lhv_deterministic_max(settings: ChshSettings) -> float:
     return best
 
 
-def _observable(phi: float) -> list[list[float]]:
-    """Planar two-level observable cos(phi) Z + sin(phi) X; eigenvalues +-1."""
-    c, s = math.cos(phi), math.sin(phi)
-    return [[c, s], [s, -c]]
-
-
-def _kron4(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    out = [[0.0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k][2 * j + l] = a[i][j] * b[k][l]
-    return out
-
-
 def chsh_operator(settings: ChshSettings) -> list[list[float]]:
-    """The 4x4 real symmetric CHSH operator for planar observables."""
-    a = _observable(settings.phi_a)
-    ap = _observable(settings.phi_a_prime)
-    b = _observable(settings.phi_b)
-    bp = _observable(settings.phi_b_prime)
-    b_sum = [[b[i][j] + bp[i][j] for j in range(2)] for i in range(2)]
-    b_diff = [[b[i][j] - bp[i][j] for j in range(2)] for i in range(2)]
-    first = _kron4(a, b_sum)
-    second = _kron4(ap, b_diff)
-    return [[first[i][j] + second[i][j] for j in range(4)] for i in range(4)]
+    """The 4x4 real symmetric CHSH operator for planar observables,
+    alpha ZZ + beta ZX + gamma XZ + delta XX."""
+    ca, sa = math.cos(settings.phi_a), math.sin(settings.phi_a)
+    cap, sap = math.cos(settings.phi_a_prime), math.sin(settings.phi_a_prime)
+    cb, sb = math.cos(settings.phi_b), math.sin(settings.phi_b)
+    cbp, sbp = math.cos(settings.phi_b_prime), math.sin(settings.phi_b_prime)
+    p, q, r, t = cb + cbp, sb + sbp, cb - cbp, sb - sbp
+    alpha, beta = ca * p + cap * r, ca * q + cap * t
+    gamma, delta = sa * p + sap * r, sa * q + sap * t
+    return [
+        [alpha, beta, gamma, delta],
+        [beta, -alpha, delta, -gamma],
+        [gamma, delta, -alpha, -beta],
+        [delta, -gamma, -beta, alpha],
+    ]
 
 
 def chsh_operator_norm(settings: ChshSettings) -> float:

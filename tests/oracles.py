@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from first principles, separate
 from the package under test: direct entropy formulas, the four-cell
-Shannon sum, golden-section search, and numpy's eigensolver.  Tests
-compare package output against these routes.
+Shannon sum, golden-section search, and numpy's Kronecker product and
+eigensolver.  Tests compare package output against these routes.
 """
 
 import math
@@ -106,6 +106,18 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             a, c = c, d
             d = a + invphi * (b - a)
     return 0.5 * (a + b)
+
+
+def chsh_operator_reference(settings) -> np.ndarray:
+    """A(a) (x) (A(b) + A(b')) + A(a') (x) (A(b) - A(b')) built with np.kron,
+    from planar observables A(phi) = cos(phi) Z + sin(phi) X."""
+
+    def observable(phi: float) -> np.ndarray:
+        return np.array([[math.cos(phi), math.sin(phi)], [math.sin(phi), -math.cos(phi)]])
+
+    b, bp = observable(settings.phi_b), observable(settings.phi_b_prime)
+    return (np.kron(observable(settings.phi_a), b + bp)
+            + np.kron(observable(settings.phi_a_prime), b - bp))
 
 
 def eig_norm(matrix) -> float:

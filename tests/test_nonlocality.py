@@ -1,5 +1,6 @@
 """CHSH values, the local-realist ceiling, and the operator bound."""
 
+import itertools
 import math
 import random
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrwork import nonlocality
+from corrwork.energetics import energetic_chsh
+from corrwork.jacobi import spectral_norm
 from corrwork.laws import Angle, CorrelationLaw
 from corrwork.nonlocality import (
     GRID_STEP,
@@ -21,10 +24,27 @@ from corrwork.nonlocality import (
     maximize_chsh,
 )
 from corrwork.rng import RandomStream
+from oracles import chsh_operator_reference
 
 
 def random_settings(stream, scale=2.0 * math.pi):
     return ChshSettings(*(stream.next_uniform() * scale for _ in range(4)))
+
+
+EDGE_ANGLES = (0.0, -0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 1.5 * math.pi,
+               2.0 * math.pi, 1e-300)
+
+
+def pauli_sum_settings():
+    """Every 4-tuple of EDGE_ANGLES, then 10^4 uniform settings in [-50, 50]."""
+    yield from itertools.starmap(ChshSettings, itertools.product(EDGE_ANGLES, repeat=4))
+    stream = RandomStream(53)
+    for _ in range(10_000):
+        yield ChshSettings(*(100.0 * stream.next_uniform() - 50.0 for _ in range(4)))
+
+
+#: angles whose differences overflow, besides ordinary and arbitrary finite ones
+SETTING_ANGLES = st.sampled_from((1e308, -1e308)) | st.floats(-10.0, 10.0) | st.floats()
 
 
 class TestChshValue:
@@ -43,6 +63,33 @@ class TestChshValue:
     def test_non_finite_settings_rejected(self):
         with pytest.raises(ValueError):
             ChshSettings(0.0, math.nan, 0.0, 0.0)
+
+    @pytest.mark.parametrize("first, second", [
+        ("phi_a", "phi_b"), ("phi_a", "phi_b_prime"),
+        ("phi_a_prime", "phi_b"), ("phi_a_prime", "phi_b_prime"),
+    ])
+    def test_settings_whose_difference_overflows_rejected(self, first, second):
+        angles = dict.fromkeys(ChshSettings.__slots__, 0.0)
+        angles[first], angles[second] = 1e308, -1e308
+        with pytest.raises(ValueError, match=f"^{first} - {second} must be finite"):
+            ChshSettings(**angles)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(angles=st.tuples(*[SETTING_ANGLES] * 4),
+           name=st.sampled_from(("classical", "quantum", "superquantum")))
+    def test_every_constructed_settings_can_be_evaluated(self, angles, name):
+        a, ap, b, bp = angles
+        try:
+            s = ChshSettings(*angles)
+        except ValueError as exc:
+            assert "finite" in str(exc)
+            assert not all(map(math.isfinite, (a - b, a - bp, ap - b, ap - bp)))
+            return
+        law = CorrelationLaw.from_name(name)
+        assert 0.0 <= chsh_value(law, s) <= 4.0
+        assert math.isfinite(energetic_chsh(law, s))
+        assert chsh_operator_norm(s) <= TSIRELSON_BOUND + 1e-9
+        assert lhv_deterministic_max(s) == 2.0
 
     def test_value_stays_in_algebraic_range(self):
         stream = RandomStream(29)
@@ -82,7 +129,14 @@ class TestOperatorBound:
         b = chsh_operator(ChshSettings.standard())
         for i in range(4):
             for j in range(4):
-                assert b[i][j] == pytest.approx(b[j][i], abs=1e-15)
+                assert b[i][j] == b[j][i]
+
+    def test_operator_and_norm_equal_the_kronecker_reference(self):
+        # zero entries may differ in sign, which == and the Jacobi solver ignore
+        for s in pauli_sum_settings():
+            reference = chsh_operator_reference(s).tolist()
+            assert chsh_operator(s) == reference, s
+            assert chsh_operator_norm(s) == spectral_norm(reference), s
 
     def test_thousand_random_settings_never_exceed(self):
         stream = RandomStream(37)
