@@ -6,8 +6,9 @@ block, computed with numpy.
 
 Domain.  A value x takes the vector path when it is finite, |x| < 10, and
 x = 0 or |x| >= 1e-290.  Every other value (NaN, +-inf, subnormals, |x| >= 10)
-and every near-tie below is formatted alone by ``"%.10g" % x``.  Sweep values
-lie inside the domain: theta in [0, pi], E in [-1, 1], I in [0, ln 2].
+and every near-tie below is formatted alone by ``"%.10g" % x``, into its
+slot.  Sweep values lie inside the domain: theta in [0, pi], E in [-1, 1], I
+in [0, ln 2].
 
 Rounding.  %.10g prints N * 10**(X - 9), where N is the 10-digit integer
 nearest to y = |x| * 10**(9 - X), ties to even, and X is the decimal
@@ -37,7 +38,8 @@ field, from tables of 4-digit groups and of exponent words.  The bytes that
 a field keeps depend only on its sign, its layout class (X = 0, -1, -2, -3,
 -4, or the exponent form with a 2- or 3-digit exponent) and its count of
 significant digits, so they come from a 2 x 7 x 11 table of boolean rows.
-One boolean compress of the block's slots gives its bytes.
+A fallback field keeps its n <= 17 bytes and the separator.  One boolean
+compress of the block's slots gives the bytes of every field.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _WIDTH = 23
 _SIGN, _D0, _DOT, _D2, _EXP, _SEP = 0, 6, 7, 9, 19, 22
 #: classes 0..4 are X = 0..-4; 5 and 6 the exponent form with 2 and 3 digits
 _EXP2, _EXP3 = 5, 6
-#: the row of _MASKS that keeps only a fallback field's separator
+#: row _FALLBACK + n of _MASKS keeps a fallback field's n bytes and separator
 _FALLBACK = 2 * 7 * 11
 #: a computed y this close to a half-integer may round either way
 _TIE_WINDOW = 1e-5
@@ -103,11 +105,13 @@ def _tables():
         | (pos == _EXP + 2) & (cls == _EXP3)
         | (pos == _SEP)
     )
-    masks = np.vstack([keep.reshape(-1, _WIDTH), np.arange(_WIDTH) == _SEP])
-    return groups, zeros, exponents, lead, powers, masks, masks.sum(axis=1)
+    slot = np.arange(_WIDTH)
+    fallback = (slot < slot[: _SEP + 1, None]) | (slot == _SEP)
+    masks = np.vstack([keep.reshape(-1, _WIDTH), fallback])
+    return groups, zeros, exponents, lead, powers, masks
 
 
-_GROUPS, _ZEROS, _EXPONENTS, _LEAD, _POWERS, _MASKS, _LENGTHS = _tables()
+_GROUPS, _ZEROS, _EXPONENTS, _LEAD, _POWERS, _MASKS = _tables()
 
 
 def _round(v: np.ndarray):
@@ -166,16 +170,8 @@ def format_rows(block: np.ndarray) -> bytes:
 
     cls = np.minimum(-x, _EXP2) + (x <= -100)
     row = np.signbit(v) * (7 * 11) + cls * 11 + sig
-    row[slow] = _FALLBACK
-    text = slots[np.take(_MASKS, row, axis=0)]
-    if not slow.any():
-        return text.tobytes()
-    # splice each fallback field in front of its separator
-    starts = np.cumsum(_LENGTHS[row]) - 1
-    text, pieces, done = memoryview(text), [], 0
     for i in np.flatnonzero(slow).tolist():
-        end = int(starts[i])
-        pieces += [text[done:end], b"%.10g" % float(v[i])]
-        done = end
-    pieces.append(text[done:])
-    return b"".join(pieces)
+        field = b"%.10g" % float(v[i])
+        slots[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
+        row[i] = _FALLBACK + len(field)
+    return slots[np.take(_MASKS, row, axis=0)].tobytes()

@@ -49,7 +49,7 @@ from .nonlocality import (
     lhv_deterministic_max,
     maximize_chsh,
 )
-from .rng import RandomStream
+from .rng import RandomStream, check_seed
 from .szilard import EngineConfig, expected_work, optimal_partition, simulate
 from ._version import __version__
 
@@ -126,13 +126,6 @@ def _parse_settings(text: str | None) -> ChshSettings:
         return ChshSettings(*values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _check_seed(seed: int) -> None:
-    # RandomStream reduces its seed mod 2**64; outside that range two seeds
-    # would draw the same stream
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _check_temperature(temperature: float | None) -> None:
@@ -266,17 +259,17 @@ def _cmd_hierarchy(args) -> int:
     return EXIT_OK
 
 
+def _robustness_report(anchor: float) -> dict:
+    """Each named law's misalignment decay fit at ``anchor``, or "flat"."""
+    fits = {name: fit_decay_exponent(CorrelationLaw.from_name(name), anchor)
+            for name in ("classical", "quantum", "superquantum")}
+    return {name: "flat" if fit is None else fit._asdict()
+            for name, fit in fits.items()}
+
+
 def _cmd_robustness(args) -> int:
     anchor = 0.0 if args.anchor == "0" else math.pi
-    report: dict = {"anchor_radians": anchor}
-    for law in (
-        CorrelationLaw.classical(),
-        CorrelationLaw.quantum(),
-        CorrelationLaw.superquantum(),
-    ):
-        fit = fit_decay_exponent(law, anchor)
-        report[law.name] = "flat" if fit is None else fit._asdict()
-    _emit_json(report)
+    _emit_json({"anchor_radians": anchor, **_robustness_report(anchor)})
     return EXIT_OK
 
 
@@ -286,10 +279,9 @@ def _cmd_robustness(args) -> int:
 
 def _cmd_szilard(args) -> int:
     _check_temperature(args.temperature)
-    _check_seed(args.seed)
     eps = args.epsilon
     try:
-        # the engine's own types check eps, x and trials
+        # the engine's own types check eps, x, trials and the seed
         opt = optimal_partition(eps)
         x = opt.x_opt if args.optimal else args.x
         # the optimum's yield is the bound I(1 - 2 eps); W(eps, x) cancels near 1/2
@@ -346,6 +338,11 @@ def _check(checks, name, measured, expected, tol=0, *, at_most=False) -> None:
             "passed": ok,
         }
     )
+
+
+#: verify's Binomial(10**6, 3/4) count of correct trials leaves this region with
+#: probability <= 5e-10 per tail; an eps 2.6e-3 off puts its mean on an edge
+MC_CORRECT_REGION = (747352, 752642)
 
 
 def random_settings(stream: RandomStream, n: int) -> Iterator[ChshSettings]:
@@ -490,9 +487,9 @@ def run_verify(seed: int = 0) -> dict:
         EngineConfig(error_prob=0.25, partition_fraction=0.75, trials=10**6,
                      seed=stream.next_uint64())
     )
-    mc_gap = abs(mc.mean_work_kT - expected_work(0.25, 0.75))
-    _check(checks, "szilard.mc_gap_vs_4se", mc_gap, 4.0 * mc.std_error, 0.0,
-           at_most=True)
+    lo, hi = MC_CORRECT_REGION  # |correct - midpoint| <= half-width, exactly
+    _check(checks, "szilard.mc_correct_in_region", mc.correct, (lo + hi) / 2,
+           (hi - lo) / 2)
     szilard_report = {
         "saturation_gap": worst_sat,
         "max_bound_excess": worst_excess,
@@ -501,24 +498,17 @@ def run_verify(seed: int = 0) -> dict:
     }
 
     # 7. misalignment robustness exponents
-    fit_c = fit_decay_exponent(classical, 0.0)
-    fit_q = fit_decay_exponent(quantum, 0.0)
-    fit_s = fit_decay_exponent(superquantum, 0.0)
-    assert fit_c is not None and fit_q is not None
-    _check(checks, "robustness.classical.exponent", fit_c.exponent, 1.0, 0.005)
-    _check(checks, "robustness.classical.prefactor", fit_c.prefactor, 2.0 / math.pi,
-           1e-3)
-    _check(checks, "robustness.classical.r2_deficit", 1.0 - fit_c.r_squared,
+    robustness_report = _robustness_report(0.0)
+    fit_c, fit_q = robustness_report["classical"], robustness_report["quantum"]
+    _check(checks, "robustness.classical.exponent", fit_c["exponent"], 1.0, 0.005)
+    _check(checks, "robustness.classical.prefactor", fit_c["prefactor"],
+           2.0 / math.pi, 1e-3)
+    _check(checks, "robustness.classical.r2_deficit", 1.0 - fit_c["r_squared"],
            0.001, 0.0, at_most=True)
-    _check(checks, "robustness.quantum.exponent", fit_q.exponent, 2.0, 0.01)
-    _check(checks, "robustness.quantum.r2_deficit", 1.0 - fit_q.r_squared,
+    _check(checks, "robustness.quantum.exponent", fit_q["exponent"], 2.0, 0.01)
+    _check(checks, "robustness.quantum.r2_deficit", 1.0 - fit_q["r_squared"],
            0.001, 0.0, at_most=True)
-    _check(checks, "robustness.superquantum",
-           "flat" if fit_s is None else "fitted", "flat")
-    robustness_report = {
-        law.name: "flat" if fit is None else fit._asdict()
-        for law, fit in ((classical, fit_c), (quantum, fit_q), (superquantum, fit_s))
-    }
+    _check(checks, "robustness.superquantum", robustness_report["superquantum"], "flat")
 
     # a suite passes when every check named after it passed
     suites: dict[str, bool] = {}
@@ -542,7 +532,10 @@ def run_verify(seed: int = 0) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    _check_seed(args.seed)
+    try:
+        check_seed(args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = run_verify(seed=args.seed)
     _emit_json(report)
     if not report["passed"]:

@@ -39,8 +39,9 @@ from .laws import Angle, CorrelationLaw, _Frozen, _set
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
-#: coarse stage of maximize_chsh: grid step over each angle
-GRID_STEP = math.pi / 36.0
+#: coarse stage of maximize_chsh: grid points over [0, 2pi) in each angle
+GRID_POINTS = 72
+GRID_STEP = 2.0 * math.pi / GRID_POINTS
 #: refinement stops once the compass step falls below this
 REFINE_STEP_FLOOR = 1e-7
 #: hard cap on refinement probes, besides the grid optimum's own evaluation
@@ -176,7 +177,7 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     may end a round part-way.
     Compass search needs no derivatives, which the step law does not have.
     """
-    n = 72
+    n = GRID_POINTS
     grid = [i * GRID_STEP for i in range(n)]
     # one evaluation per cell, not per offset: perfbench pins 72 * 72 evaluations
     best_idx = _grid_argmax(

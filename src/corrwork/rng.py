@@ -52,15 +52,22 @@ def _scramble(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> None:
+    """Seeds are ints in [0, 2**64), the state space: no two share a stream."""
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 class RandomStream:
     """SplitMix64 stream with scalar and bit-identical block output."""
 
     __slots__ = ("_state0", "_state")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-        self._state0 = seed & _MASK64
+        check_seed(seed)
+        self._state0 = int(seed)
         self._state = self._state0
 
     def next_uint64(self) -> int:

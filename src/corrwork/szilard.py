@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .information import mutual_information
 from .laws import _Frozen, _set
-from .rng import RandomStream
+from .rng import RandomStream, check_seed
 
 
 def _check_error_prob(eps: float) -> None:
@@ -73,6 +73,7 @@ class EngineConfig(_Frozen):
             )
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        check_seed(seed)
         _set(self, "error_prob", error_prob)
         _set(self, "partition_fraction", partition_fraction)
         _set(self, "trials", trials)
@@ -80,11 +81,12 @@ class EngineConfig(_Frozen):
 
 
 class CycleResult(NamedTuple):
-    """Monte Carlo estimate of the mean work per cycle."""
+    """Monte Carlo mean work per cycle, from ``correct`` of ``n`` trials."""
 
     mean_work_kT: float
     std_error: float
     n: int
+    correct: int
 
 
 def expected_work(epsilon: float, x: float) -> float:
@@ -145,8 +147,8 @@ def simulate(config: EngineConfig) -> CycleResult:
     if wrong == 0 or correct == 0:
         # every trial is the same branch: the mean is exact, variance zero
         mean = w_correct if wrong == 0 else w_wrong
-        return CycleResult(mean_work_kT=mean, std_error=0.0, n=n)
+        return CycleResult(mean_work_kT=mean, std_error=0.0, n=n, correct=correct)
     mean = (correct * w_correct + wrong * w_wrong) / n
     ss = correct * (w_correct - mean) ** 2 + wrong * (w_wrong - mean) ** 2
     std_error = math.sqrt(ss / (n - 1)) / math.sqrt(n)
-    return CycleResult(mean_work_kT=mean, std_error=std_error, n=n)
+    return CycleResult(mean_work_kT=mean, std_error=std_error, n=n, correct=correct)

@@ -62,6 +62,29 @@ def bit_information_mp(eps: float) -> float:
         return float(mpmath.log(2) - h2)
 
 
+def binomial_tail_mp(n: int, p, k: int, upper: bool):
+    """P(X >= k) (``upper``) or P(X <= k) of X ~ Binomial(n, p), in mpmath.
+
+    The terms C(n, j) p^j (1 - p)^(n - j) are summed from j = k away from
+    the mean, where they shrink at least geometrically, until one falls
+    below 1e-40 of the sum; each term is the last times the ratio of
+    consecutive terms.
+    """
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        term = mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k)
+        total, j = term, k
+        while term >= total * mpmath.mpf("1e-40") and 0 < j < n:
+            if upper:
+                term *= (n - j) * p / ((j + 1) * (1 - p))
+                j += 1
+            else:
+                term *= j * (1 - p) / ((n - j + 1) * p)
+                j -= 1
+            total += term
+        return total
+
+
 def law_probability(name: str, theta: float) -> float:
     """The paper's p(theta) = (1 + E)/2 of a named law at a canonical angle."""
     if name == "classical":

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -20,7 +21,7 @@ from corrwork.nonlocality import chsh_value
 from corrwork.rng import RandomStream
 from corrwork.szilard import EngineConfig, expected_work, optimal_partition
 
-from oracles import bit_information_mp, h2_direct
+from oracles import binomial_tail_mp, bit_information_mp, h2_direct
 
 
 def run(capsys, *argv):
@@ -626,6 +627,39 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("seed", range(21))
     def test_passes_for_small_seeds(self, seed):
         assert cli.run_verify(seed)["passed"]
+
+    def test_monte_carlo_region_is_the_central_binomial_region(self):
+        # a trial is correct when its word lies below ceil(0.75 * 2**53) * 2**11
+        # = 3 * 2**62, so with probability exactly 3/4; the region leaves at
+        # most alpha / 2 = 5e-10 in each tail, and would not with one more count
+        assert math.ceil((1.0 - 0.25) * 2.0**53) << 11 == 3 * 2**62
+        lo, hi = cli.MC_CORRECT_REGION
+        n, p, half_alpha = 10**6, mpmath.mpf(3) / 4, mpmath.mpf("5e-10")
+        assert (binomial_tail_mp(n, p, lo - 1, upper=False) <= half_alpha
+                < binomial_tail_mp(n, p, lo, upper=False))
+        assert (binomial_tail_mp(n, p, hi + 1, upper=True) <= half_alpha
+                < binomial_tail_mp(n, p, hi, upper=True))
+
+    @pytest.mark.parametrize("shift", [-0.005, 0.005])
+    def test_monte_carlo_of_a_biased_engine_fails(self, monkeypatch, shift):
+        # the region's edges put the mean count at a bias of 2.6e-3 in eps;
+        # a bias of 5e-3 puts it more than 5 standard deviations beyond them
+        simulate = cli.simulate
+
+        def biased(config):
+            return simulate(EngineConfig(config.error_prob + shift,
+                                         config.partition_fraction, config.trials,
+                                         config.seed))
+
+        monkeypatch.setattr(cli, "simulate", biased)
+        report = cli.run_verify(0)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["szilard.mc_correct_in_region"]
+
+    def test_robustness_section_is_the_robustness_report(self, capsys):
+        robustness = run_json(capsys, "robustness", "--anchor", "0")
+        del robustness["anchor_radians"]
+        assert run_json(capsys, "verify")["robustness"] == robustness
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "0")

@@ -113,3 +113,10 @@ def test_uniforms_live_in_unit_interval():
 def test_seed_type_checked():
     with pytest.raises(TypeError):
         RandomStream(1.5)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+def test_seed_outside_the_state_space_is_rejected(seed):
+    # reduced mod 2**64, -1 would draw the stream of 2**64 - 1
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        RandomStream(seed)

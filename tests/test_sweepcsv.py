@@ -45,6 +45,11 @@ def _midpoint(digits: int, exponent: int) -> float:
     return float(Decimal(2 * digits + 1) / 2 * Decimal(10) ** (exponent - 9))
 
 
+#: values outside the kernel's domain, and an exact tie; the last two print
+#: as -1.797693135e+308 and -4.940656458e-324, the longest "%.10g" texts
+FALLBACKS = np.array([math.nan, math.inf, -math.inf, 5e-324, 9e-291, 10.0, -10.0,
+                      9.9999999996, 1.0009765625, -1.7976931348623157e308, -5e-324])
+
 VALUES = st.one_of(
     st.floats(),  # +-0, subnormals, +-inf, NaN, |x| >= 10
     st.floats(min_value=-10.0, max_value=10.0),
@@ -106,6 +111,9 @@ class TestKernel:
         block = rng.uniform(-1.0, 1.0, (33, c)) * 10.0 ** rng.integers(-40, 1, (33, c))
         block[0, 0], block[-1, -1] = math.nan, 0.0
         assert format_rows(block) == reference(block)
+        # only fallback fields, each value in every column, the last one too
+        block = np.array([np.roll(FALLBACKS, k)[:c] for k in range(len(FALLBACKS))])
+        assert format_rows(block) == reference(block)
 
     def test_sweep_values_take_the_vector_path(self):
         theta = np.linspace(0.0, math.pi, 4097)
@@ -115,7 +123,6 @@ class TestKernel:
         assert not slow.any()
 
     def test_values_outside_the_domain_take_the_fallback(self):
-        values = np.array([math.nan, math.inf, -math.inf, 5e-324, 9e-291, 10.0, -10.0,
-                           9.9999999996, 1.0009765625])
-        *_, slow = _sweepcsv._round(values)
+        *_, slow = _sweepcsv._round(FALLBACKS)
         assert slow.all()
+        assert max(len(b"%.10g" % v) for v in FALLBACKS) == 17

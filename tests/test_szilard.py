@@ -190,6 +190,7 @@ class TestSimulate:
         w_w = math.log(0.5)
         n = result.n
         k = round((result.mean_work_kT * n - n * w_w) / (w_c - w_w))
+        assert result.correct == k == RandomStream(5).count_below(n, 0.75)
         mean = (k * w_c + (n - k) * w_w) / n
         ss = k * (w_c - mean) ** 2 + (n - k) * (w_w - mean) ** 2
         expected_se = math.sqrt(ss / (n - 1)) / math.sqrt(n)
@@ -238,7 +239,7 @@ class TestEngineConfig:
         # the wrong branch, to which x = 1 leaves no volume, is never drawn
         config = EngineConfig(error_prob=eps, partition_fraction=1.0, trials=1000,
                               seed=4)
-        assert simulate(config) == (LN2, 0.0, 1000)
+        assert simulate(config) == (LN2, 0.0, 1000, 1000)
 
     @pytest.mark.parametrize("eps", [2**-53, 1e-3, 0.25])
     def test_boundary_partition_rejected_where_a_trial_can_be_wrong(self, eps):

@@ -39,8 +39,9 @@ VALUES = {
     "DecayFit": (DecayFit, {"exponent": 2.0, "prefactor": 0.5, "r_squared": 1.0,
                             "window": (1e-3, 1e-1)},
                  DecayFit(1.0, 0.6366197723675814, 1.0, (1e-3, 1e-1))),
-    "CycleResult": (CycleResult, {"mean_work_kT": 0.13, "std_error": 0.02, "n": 1000},
-                    CycleResult(0.5, 0.0, 10)),
+    "CycleResult": (CycleResult, {"mean_work_kT": 0.13, "std_error": 0.02, "n": 1000,
+                                  "correct": 750},
+                    CycleResult(0.5, 0.0, 10, 10)),
     "PartitionOptimum": (PartitionOptimum, {"x_opt": 0.75, "w_opt_kT": 0.13,
                                             "boundary": False},
                          PartitionOptimum(1.0, math.log(2.0), True)),
@@ -55,7 +56,7 @@ REPRS = {
     "EngineConfig": ("EngineConfig(error_prob=0.25, partition_fraction=0.75, "
                      "trials=1000, seed=7)"),
     "DecayFit": "DecayFit(exponent=2.0, prefactor=0.5, r_squared=1.0, window=(0.001, 0.1))",
-    "CycleResult": "CycleResult(mean_work_kT=0.13, std_error=0.02, n=1000)",
+    "CycleResult": "CycleResult(mean_work_kT=0.13, std_error=0.02, n=1000, correct=750)",
     "PartitionOptimum": "PartitionOptimum(x_opt=0.75, w_opt_kT=0.13, boundary=False)",
 }
 
@@ -176,6 +177,9 @@ class TestValidatedTypes:
         ("partition_fraction", 0.0, r"partition_fraction 0.0 outside \(0, 1\)"),
         ("partition_fraction", 1.0, r"partition_fraction 1.0 outside \(0, 1\)"),
         ("trials", 0, "trials must be >= 1, got 0"),
+        ("seed", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
+        ("seed", 2**64, rf"seed must be in \[0, 2\*\*64\), got {2**64}"),
+        ("seed", 2**64 + 7, rf"seed must be in \[0, 2\*\*64\), got {2**64 + 7}"),
     ])
     def test_engine_config_rejects_out_of_range_fields(self, field, bad, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
