@@ -14,7 +14,8 @@ Conventions:
     unless the environment sets it or numpy is already imported
   - sweeps are computed and written in blocks of SWEEP_BLOCK rows; each block
     is formatted by _sweepcsv, a numpy kernel whose bytes are exactly those
-    of "%.10g"; numpy is loaded only by sweep, szilard and verify
+    of "%.10g", in buffers allocated once per sweep (not faulted in again
+    for every block); numpy is loaded only by sweep, szilard and verify
 
 Output depends only on the arguments (plus --seed where sampling is
 involved), so identical invocations produce byte-identical reports.
@@ -165,10 +166,10 @@ def build_sweep(
 
 def write_sweep_csv(rows, out_path: str) -> None:
     """Stream blocks of (theta, e, i_nats, w_kT) rows to a temporary file beside
-    ``out_path``, each block formatted by the exact "%.10g" kernel of
-    _sweepcsv, then rename it into place; on any failure the temporary file
-    is removed."""
-    from ._sweepcsv import format_rows  # lazily: it builds numpy tables
+    ``out_path``, formatted by the exact "%.10g" kernel of _sweepcsv in
+    buffers shared by every block, then rename it into place; on any failure
+    the temporary file is removed."""
+    from ._sweepcsv import format_blocks  # lazily: it builds numpy tables
 
     tmp = f"{out_path}.{os.getpid()}.tmp"
     try:
@@ -176,8 +177,8 @@ def write_sweep_csv(rows, out_path: str) -> None:
         try:
             with handle:
                 handle.write(b"theta,e,i_nats,w_kT\n")
-                for block in rows:
-                    handle.write(format_rows(block))
+                for lines in format_blocks(rows):
+                    handle.write(lines)
             os.replace(tmp, out_path)
         except BaseException:
             os.remove(tmp)

@@ -822,6 +822,40 @@ class TestBlasThreads:
         assert dict(os.environ) == before
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts of glibc's allocator")
+class TestSweepPageFaults:
+    """A sweep formats every block in the same buffers, so its blocks do not
+    fault their memory in again: a 400001-row sweep child takes a few
+    thousand minor faults beyond a child that only imports numpy and the
+    CLI, where buffers allocated per block took about 45k."""
+
+    BOUND = 15_000
+
+    @staticmethod
+    def _minor_faults(argv, cwd):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.Popen([sys.executable, *argv], env=env, cwd=cwd,
+                                stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, argv
+        return usage.ru_minflt
+
+    @pytest.mark.parametrize("law", ["classical", "quantum", "superquantum", "table"])
+    def test_sweep_child_does_not_refault_its_blocks(self, tmp_path, law):
+        if law == "table":
+            theta = np.linspace(0.0, math.pi, 1000)
+            e = -np.cos(theta) * (1.0 - 0.1 * np.sin(3.0 * theta))
+            knots = "".join(f"{t!r},{v!r}\n" for t, v in zip(theta.tolist(), e.tolist()))
+            (tmp_path / "law.csv").write_text("theta_radians,e\n" + knots, encoding="utf-8")
+            law = f"table:{tmp_path / 'law.csv'}"
+        baseline = self._minor_faults(["-c", "import numpy, corrwork.cli"], tmp_path)
+        sweep = self._minor_faults(["-m", "corrwork.cli", "sweep", "--law", law,
+                                    "--steps", "400001", "--out", "s.csv"], tmp_path)
+        assert sweep - baseline < self.BOUND, (sweep, baseline)
+
+
 # ---------------------------------------------------------------------------
 # property: every generated argv ends in a documented exit code, strict JSON
 # (or the sweep summary) on stdout, and no partial file

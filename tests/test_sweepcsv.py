@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from corrwork import _sweepcsv
-from corrwork._sweepcsv import format_rows
+from corrwork import _sweepcsv, cli
+from corrwork._sweepcsv import format_blocks, format_rows
 
 
 def reference(block) -> bytes:
@@ -126,3 +126,32 @@ class TestKernel:
         *_, slow = _sweepcsv._round(FALLBACKS)
         assert slow.all()
         assert max(len(b"%.10g" % v) for v in FALLBACKS) == 17
+
+
+class TestBuffers:
+    """format_blocks formats every block of a sequence in the same slot and
+    keep buffers: no field may print a byte that an earlier block left there."""
+
+    def test_short_fields_after_the_longest_fallbacks(self):
+        k = cli.SWEEP_BLOCK
+        longest = [-1.7976931348623157e308, -5e-324, math.nan]  # 17, 17 and 3 bytes
+        blocks = [as_block(np.resize(longest, 4 * k)),
+                  as_block(np.resize([0.0, -1.0, 0.5], 4 * k)),
+                  as_block(np.resize([0.5, 0.0, -1.0, 0.25, math.pi], 4 * (k // 3)))]
+        assert list(format_blocks(blocks)) == [reference(b) for b in blocks]
+
+    def test_a_larger_block_grows_the_buffers(self):
+        blocks = [as_block([1.5, -2.0]), as_block(np.linspace(-1.0, 1.0, 4 * 300)),
+                  as_block(FALLBACKS)]
+        assert list(format_blocks(blocks)) == [reference(b) for b in blocks]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_sequences_of_shrinking_blocks_match_percent_formatting(self, data):
+        c = data.draw(st.integers(1, 5), label="c")
+        ks = sorted(data.draw(st.sets(st.integers(1, 12), min_size=1, max_size=4),
+                              label="ks"), reverse=True)
+        blocks = [np.array(data.draw(st.lists(VALUES, min_size=k * c, max_size=k * c)),
+                           dtype=np.float64).reshape(k, c) for k in ks]
+        assert list(format_blocks(blocks)) == [reference(b) for b in blocks]
