@@ -179,9 +179,10 @@ def maximize_chsh(law: CorrelationLaw) -> tuple[ChshSettings, float]:
     """
     n = GRID_POINTS
     grid = [i * GRID_STEP for i in range(n)]
+    angles = [Angle(g) for g in grid]
     # one evaluation per cell, not per offset: perfbench pins 72 * 72 evaluations
     best_idx = _grid_argmax(
-        [[law.evaluate(Angle(grid[(u - v) % n])) for v in range(n)] for u in range(n)]
+        [[law.evaluate(angles[(u - v) % n]) for v in range(n)] for u in range(n)]
     )
     x = [grid[k] for k in best_idx]
 

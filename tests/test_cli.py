@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import gc
+import importlib
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -675,6 +678,18 @@ def run_fresh(code):
     assert result.returncode == 0, result.stderr
 
 
+def run_module_child(argv, cwd):
+    """(exit code, stdout, stderr) of a fresh ``python -m corrwork.cli`` child,
+    with the child's pid in temporary file names replaced by this process's,
+    so that its stderr compares equal to in-process main's."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "corrwork.cli", *argv], cwd=cwd,
+                            env=dict(os.environ, PYTHONPATH=src), text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err.replace(f".{proc.pid}.tmp", f".{os.getpid()}.tmp")
+
+
 class TestProcessBoundary:
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
         def broken(law, anchor):
@@ -777,6 +792,65 @@ class TestProcessBoundary:
             "assert 'csv' in sys.modules, 'table'\n"
         )
         run_fresh(code)
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        state = gc.isenabled(), gc.get_freeze_count()
+        run_json(capsys, "chsh", "--law", "quantum")
+        with pytest.raises(SystemExit):
+            cli.main(["--version"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["chsh", "--law", "quantum"], cli.EXIT_OK),
+        (["robustness"], cli.EXIT_INTERNAL),
+        (["chsh"], cli.EXIT_USAGE),  # argparse: --law is required
+    ])
+    def test_run_freezes_the_heap_and_exits_with_mains_code(self, capsys, monkeypatch,
+                                                             argv, expected):
+        def broken(law, anchor):
+            raise ArithmeticError("fit diverged")
+
+        monkeypatch.setattr(cli, "fit_decay_exponent", broken)
+        monkeypatch.setattr(sys, "argv", ["corrwork", *argv])
+        frozen = gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.run()
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == expected
+        capsys.readouterr()
+
+    def test_module_children_match_in_process_main(self, capsys, monkeypatch, tmp_path):
+        chsh = ["chsh", "--law", "quantum"]
+        child = run_module_child(chsh, tmp_path)
+        assert child == run(capsys, *chsh)
+        assert child[0] == cli.EXIT_OK
+        assert json.loads(child[1])["s_chsh"] == pytest.approx(2.0 * math.sqrt(2.0))
+
+        sweep = ["sweep", "--law", "quantum", "--steps", "1001", "--out", "s.csv"]
+        child = run_module_child(sweep, tmp_path)
+        csv = (tmp_path / "s.csv").read_bytes()
+        assert len(read_rows(tmp_path / "s.csv")) == 1001
+        monkeypatch.chdir(tmp_path)
+        assert child == run(capsys, *sweep)
+        assert (tmp_path / "s.csv").read_bytes() == csv
+
+        for argv, expected in ((["chsh", "--law", "bogus"], cli.EXIT_USAGE),
+                               (["sweep", "--law", "quantum", "--steps", "3",
+                                 "--out", str(tmp_path / "missing" / "s.csv")], cli.EXIT_IO)):
+            child = run_module_child(argv, tmp_path)
+            assert child == run(capsys, *argv)
+            assert child[0] == expected and child[1] == "" and child[2]
+
+    def test_console_script_enters_at_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            script = tomllib.load(handle)["project"]["scripts"]["corrwork"]
+        module, _, name = script.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
 
 
 class TestBlasThreads:

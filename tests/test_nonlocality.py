@@ -344,3 +344,34 @@ def test_refinement_stops_at_the_probe_cap(monkeypatch, cap):
     # one evaluation of the grid optimum, then exactly cap probes
     assert calls == 1 + cap
     assert chsh_value(law, angles) == value
+
+
+@pytest.mark.parametrize("law", NAMED_LAWS + [seeded_table(3)], ids=lambda l: l.name)
+def test_grid_builds_each_angle_once(monkeypatch, law):
+    # 72 grid Angles, plus the four relative angles of each chsh_value call;
+    # the matrix still evaluates every one of its 72 * 72 cells
+    angles = evaluations = chsh_calls = 0
+    init, evaluate = Angle.__init__, CorrelationLaw.evaluate
+
+    def counting_init(self, radians):
+        nonlocal angles
+        angles += 1
+        init(self, radians)
+
+    def counting_evaluate(self, theta):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(self, theta)
+
+    def counting_chsh_value(law, settings):
+        nonlocal chsh_calls
+        chsh_calls += 1
+        return chsh_value(law, settings)
+
+    monkeypatch.setattr(Angle, "__init__", counting_init)
+    monkeypatch.setattr(CorrelationLaw, "evaluate", counting_evaluate)
+    monkeypatch.setattr(nonlocality, "chsh_value", counting_chsh_value)
+    maximize_chsh(law)
+    assert chsh_calls > 1
+    assert angles == 72 + 4 * chsh_calls
+    assert evaluations - 4 * chsh_calls == 72 * 72
