@@ -1,8 +1,8 @@
 """Exact "%.10g" CSV lines for a whole float64 block at once.
 
-``format_rows(block)`` returns the bytes of
-``("%.10g," * (c - 1) + "%.10g\\n") * k % tuple(block.ravel())`` for a (k, c)
-block, computed with numpy.
+``format_blocks(blocks)`` yields, for each (k, c) block, the bytes of
+``("%.10g," * (c - 1) + "%.10g\\n") * k % tuple(block.ravel())``, computed
+with numpy.
 
 Domain.  A value x takes the vector path when it is finite, |x| < 10, and
 x = 0 or |x| >= 1e-290.  Every other value (NaN, +-inf, subnormals, |x| >= 10)
@@ -180,13 +180,8 @@ def format_blocks(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
         yield _format(block, slots[:m], keep[:m])
 
 
-def format_rows(block: np.ndarray) -> bytes:
-    """The "%.10g" CSV lines of a (k, c) float64 block, fields joined by ","."""
-    return next(format_blocks([block]))
-
-
 def _format(block: np.ndarray, slots: np.ndarray, keep: np.ndarray) -> bytes:
-    """format_rows of ``block``, in the (k * c, 23) buffers ``slots`` and ``keep``."""
+    """The CSV lines of ``block``, in the (k * c, 23) buffers ``slots`` and ``keep``."""
     c = block.shape[1]
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
     x, n, slow = _round(v)

@@ -187,7 +187,10 @@ def write_sweep_csv(rows, out_path: str) -> None:
             os.remove(tmp)
             raise
     except OSError as exc:
-        raise OSError(f"cannot write sweep to {out_path}: {exc}") from exc
+        # the message names out_path, never the pid-stamped temporary file
+        error = OSError(f"cannot write sweep to {out_path}: {exc.strerror}")
+        error.errno = exc.errno
+        raise error from exc
 
 
 def _cmd_sweep(args) -> int:

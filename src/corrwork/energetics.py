@@ -105,17 +105,14 @@ def fit_decay_exponent(law: CorrelationLaw, anchor: Angle | float) -> DecayFit |
         raise ValueError("decay fit supports the classical, quantum, and "
                          "superquantum laws only")
     a = anchor.radians if isinstance(anchor, Angle) else float(anchor)
-    if a == 0.0:
-        sign = 1.0
-    elif a == math.pi:
-        sign = -1.0
-    else:
+    if a not in (0.0, math.pi):
         raise ValueError(f"anchor must be 0 or pi, got {a!r}")
 
     lo, hi = DECAY_WINDOW
     ratio = (hi / lo) ** (1.0 / (DECAY_POINTS - 1))
     deltas = [lo * ratio**k for k in range(DECAY_POINTS)]
-    deficits = [1.0 - abs(law.evaluate(Angle(a + sign * d))) for d in deltas]
+    # Angle is even: Angle(d - a) is d at anchor 0 and pi - d at anchor pi
+    deficits = [1.0 - abs(law.evaluate(Angle(d - a))) for d in deltas]
 
     if all(d < FLAT_DEFICIT for d in deficits):
         return None

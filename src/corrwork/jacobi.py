@@ -18,9 +18,7 @@ OFF_DIAGONAL_TOL = 1e-12
 _MAX_SWEEPS = 100
 
 
-def symmetric_eigenvalues(
-    matrix: Sequence[Sequence[float]], tol: float = OFF_DIAGONAL_TOL
-) -> list[float]:
+def symmetric_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     """Eigenvalues of a real symmetric matrix, ascending.
 
     Raises ValueError for a non-square or non-symmetric input and
@@ -44,12 +42,12 @@ def symmetric_eigenvalues(
         off = max(
             abs(a[p][q]) for p in range(n - 1) for q in range(p + 1, n)
         )
-        if off < tol:
+        if off < OFF_DIAGONAL_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
-                if abs(apq) < tol / (n * n):
+                if abs(apq) < OFF_DIAGONAL_TOL / (n * n):
                     continue
                 # rotation angle from tan(2*phi) = 2*apq / (app - aqq)
                 tau = (a[q][q] - a[p][p]) / (2.0 * apq)

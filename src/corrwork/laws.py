@@ -9,10 +9,14 @@ angle theta between the two parties' measurement directions:
 
 plus a tabulated law interpolated from user-supplied (theta, E) knots.
 
-Angles are canonicalized to [0, pi] on construction by reflecting modulo
-2*pi, so every law is total over the reals.  CorrelationLaw.evaluate_many
-and canonical_radians are the array twins of evaluate and Angle; numpy is
-imported only when an array routine runs.
+Angles are canonicalized to [0, pi] on construction: theta maps to
+r = fmod(|theta|, 2*pi), reflected to min(r, 2*pi - r).  fmod is exact, and
+so is 2*pi - r wherever it is the smaller (r >= pi, Sterbenz's lemma), so
+the reduction is exactly |remainder(theta, 2*pi)| for every finite double,
+and even: Angle(-x) == Angle(x), down to the smallest misalignment.  Every
+law is therefore total over the reals.  CorrelationLaw.evaluate_many and
+canonical_radians are the array twins of evaluate and Angle, with the same
+arithmetic; numpy is imported only when an array routine runs.
 """
 
 from __future__ import annotations
@@ -86,10 +90,8 @@ class Angle(_Frozen):
 
 
 def _reflect(raw: float) -> float:
-    """Reduce to [0, pi]: theta -> min(theta mod 2pi, 2pi - theta mod 2pi)."""
-    r = math.fmod(raw, _TWO_PI)
-    if r < 0.0:
-        r += _TWO_PI
+    """Reduce exactly to [0, pi]: |theta| -> min(r, 2pi - r), r = |theta| mod 2pi."""
+    r = math.fmod(abs(raw), _TWO_PI)
     return min(r, _TWO_PI - r)
 
 
@@ -100,15 +102,8 @@ def canonical_radians(raw) -> np.ndarray:
     r = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("angles must be finite numbers")
-    r = np.fmod(r, _TWO_PI)
-    r = np.where(r < 0.0, r + _TWO_PI, r)
+    r = np.fmod(np.abs(r), _TWO_PI)
     return np.minimum(r, _TWO_PI - r)
-
-
-def _radians(theta: Angle | float) -> float:
-    if isinstance(theta, Angle):
-        return theta.radians
-    return Angle(theta).radians
 
 
 class LawKind(enum.Enum):
@@ -179,7 +174,7 @@ class CorrelationLaw(_Frozen):
         return self.kind.value
 
     def evaluate(self, theta: Angle | float) -> float:
-        t = _radians(theta)
+        t = (theta if isinstance(theta, Angle) else Angle(theta)).radians
         if self.kind is LawKind.CLASSICAL_LINEAR:
             return -1.0 + 2.0 * t / math.pi
         if self.kind is LawKind.QUANTUM_COSINE:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles, separate
 from the package under test: direct entropy formulas, the four-cell
-Shannon sum, golden-section search, and numpy's Kronecker product and
-eigensolver.  Tests compare package output against these routes.
+Shannon sum, golden-section search, the law formulas at angles reduced by
+the IEEE remainder with a compass search over them, and numpy's Kronecker
+product and eigensolver.  Tests compare package output against these routes.
 """
 
 import math
@@ -129,6 +130,69 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             a, c = c, d
             d = a + invphi * (b - a)
     return 0.5 * (a + b)
+
+
+def law_formula(name: str, table=None):
+    """E(theta) of a law at a canonical angle, written from its definition:
+    -1 + 2 theta/pi, -cos theta, sgn(2 theta/pi - 1), or the table's knots
+    joined by straight lines and held flat outside them."""
+    if name == "classical":
+        return lambda t: -1.0 + 2.0 * t / math.pi
+    if name == "quantum":
+        return lambda t: -math.cos(t)
+    if name == "superquantum":
+        return lambda t: float(np.sign(2.0 * t / math.pi - 1.0))
+
+    def tabulated(t):
+        if t <= table[0][0]:
+            return table[0][1]
+        for (t0, e0), (t1, e1) in zip(table, table[1:]):
+            if t < t1:
+                return e0 + (e1 - e0) * (t - t0) / (t1 - t0)
+        return table[-1][1]
+
+    return tabulated
+
+
+def relative_angle(phi: float, psi: float) -> float:
+    """phi - psi reduced to [0, pi] by the IEEE remainder modulo 2*pi, which is exact."""
+    return abs(math.remainder(phi - psi, 2.0 * math.pi))
+
+
+def chsh_reference(e, angles) -> float:
+    """|E(a-b) + E(a-b') + E(a'-b) - E(a'-b')| at angles (a, a', b, b')."""
+    a, ap, b, bp = angles
+    return abs(e(relative_angle(a, b)) + e(relative_angle(a, bp))
+               + e(relative_angle(ap, b)) - e(relative_angle(ap, bp)))
+
+
+def compass_refine_reference(e, start, step: float, floor: float, budget: int):
+    """Compass search for the largest chsh_reference from ``start``.
+
+    A round probes +step then -step on each of the four angles in turn and
+    moves to the best strict improvement; a round without one halves the
+    step.  The search ends once the step is below ``floor`` or ``budget``
+    probes have run, possibly part-way through a round.  Returns the final
+    angles and their value.
+    """
+    x, fx, probes = list(start), chsh_reference(e, start), 0
+    while step >= floor and probes < budget:
+        best, best_value = None, fx
+        for k in range(4):
+            for sign in (1.0, -1.0):
+                if probes == budget:
+                    break
+                probe = list(x)
+                probe[k] += sign * step
+                value = chsh_reference(e, probe)
+                probes += 1
+                if value > best_value:
+                    best, best_value = probe, value
+        if best is None:
+            step /= 2.0
+        else:
+            x, fx = best, best_value
+    return x, fx
 
 
 def chsh_operator_reference(settings) -> np.ndarray:

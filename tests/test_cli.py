@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import errno
 import gc
 import importlib
 import json
@@ -679,15 +680,13 @@ def run_fresh(code):
 
 
 def run_module_child(argv, cwd):
-    """(exit code, stdout, stderr) of a fresh ``python -m corrwork.cli`` child,
-    with the child's pid in temporary file names replaced by this process's,
-    so that its stderr compares equal to in-process main's."""
+    """(exit code, stdout, stderr) of a fresh ``python -m corrwork.cli`` child."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.Popen([sys.executable, "-m", "corrwork.cli", *argv], cwd=cwd,
                             env=dict(os.environ, PYTHONPATH=src), text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
-    return proc.returncode, out, err.replace(f".{proc.pid}.tmp", f".{os.getpid()}.tmp")
+    return proc.returncode, out, err
 
 
 class TestProcessBoundary:
@@ -843,6 +842,25 @@ class TestProcessBoundary:
             child = run_module_child(argv, tmp_path)
             assert child == run(capsys, *argv)
             assert child[0] == expected and child[1] == "" and child[2]
+
+    @pytest.mark.parametrize("target, code", [
+        (os.path.join("missing", "s.csv"), errno.ENOENT),
+        ("d", errno.EISDIR),
+    ], ids=["missing-dir", "directory"])
+    def test_failed_sweep_write_names_the_output(self, tmp_path, target, code):
+        (tmp_path / "d").mkdir()
+        argv = ["sweep", "--law", "quantum", "--steps", "3", "--out", target]
+        first, second = run_module_child(argv, tmp_path), run_module_child(argv, tmp_path)
+        message = f"cannot write sweep to {target}: {os.strerror(code)}"
+        assert first == second == (cli.EXIT_IO, "", f"corrwork: i/o error: {message}\n")
+        assert ".tmp" not in first[2]
+        assert os.listdir(tmp_path) == ["d"]
+
+    def test_failed_sweep_write_keeps_the_errno(self, tmp_path):
+        rows = cli.build_sweep(CorrelationLaw.quantum(), 0.0, 1.0, 3)
+        with pytest.raises(OSError) as exc:
+            cli.write_sweep_csv(rows, str(tmp_path / "missing" / "s.csv"))
+        assert exc.value.errno == errno.ENOENT
 
     def test_console_script_enters_at_run(self):
         tomllib = pytest.importorskip("tomllib")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from corrwork.laws import Angle, CorrelationLaw, canonical_radians, tabulated_from_csv
 
@@ -12,6 +12,23 @@ CLASSICAL = CorrelationLaw.classical()
 QUANTUM = CorrelationLaw.quantum()
 SUPERQUANTUM = CorrelationLaw.superquantum()
 ALL_LAWS = [CLASSICAL, QUANTUM, SUPERQUANTUM]
+
+#: every finite double: a uniform draw from a range such as (-20, 20) lies on
+#: a 3.5e-15 grid, where a rounded theta + 2*pi is exact and hides the rounding
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: small negative misalignments, where a rounded theta + 2*pi loses digits
+SMALL_NEGATIVE = (-1e-20, -1e-10, -0.1)
+
+
+def exact_reduction(raw: float) -> float:
+    """|theta| reduced to [0, pi] modulo 2*pi, exactly (IEEE remainder)."""
+    return abs(math.remainder(raw, 2.0 * math.pi))
+
+
+def with_small_negatives(test):
+    for raw in SMALL_NEGATIVE:
+        test = example(raw)(test)
+    return test
 
 
 class TestAngle:
@@ -21,8 +38,15 @@ class TestAngle:
     def test_reflection_of_three_half_pi(self):
         assert Angle(3.0 * math.pi / 2.0).radians == math.pi / 2.0
 
-    def test_evenness(self):
-        assert Angle(-math.pi / 4.0).radians == math.pi / 4.0
+    @with_small_negatives
+    @given(FINITE)
+    def test_reduction_is_exact(self, raw):
+        assert Angle(raw).radians == exact_reduction(raw)
+
+    @with_small_negatives
+    @given(FINITE)
+    def test_evenness(self, raw):
+        assert Angle(-raw) == Angle(raw)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -97,13 +121,16 @@ TABLE_LAWS = st.lists(
               st.floats(min_value=-1.0, max_value=1.0)),
     min_size=1, max_size=12, unique_by=lambda knot: knot[0],
 ).map(lambda knots: CorrelationLaw.tabulated(sorted(knots)))
-RAW_ANGLES = st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=40)
+RAW_ANGLES = st.lists(st.one_of(st.floats(min_value=-50.0, max_value=50.0), FINITE),
+                      min_size=1, max_size=40)
 
 
 class TestArrayTwins:
+    @example(raw=list(SMALL_NEGATIVE))
     @given(raw=RAW_ANGLES)
     def test_canonical_radians_matches_angle(self, raw):
-        assert canonical_radians(np.array(raw)).tolist() == [Angle(r).radians for r in raw]
+        got = canonical_radians(np.array(raw)).tolist()
+        assert got == [Angle(r).radians for r in raw] == [exact_reduction(r) for r in raw]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

@@ -24,7 +24,12 @@ from corrwork.nonlocality import (
     maximize_chsh,
 )
 from corrwork.rng import RandomStream
-from oracles import chsh_operator_reference
+from oracles import (
+    chsh_operator_reference,
+    compass_refine_reference,
+    law_formula,
+    relative_angle,
+)
 
 
 def random_settings(stream, scale=2.0 * math.pi):
@@ -303,11 +308,11 @@ class TestGridArgmax:
 
 
 #: maximize_chsh results, compared with ==: the grid start from the n^4 scan
-#: of the exactly circulant grid, then compass refinement from that start
+#: of the exactly circulant grid, then compass refinement from that start;
+#: test_golden_results_match_the_reference_search derives each one again
 GOLDEN = {
-    "classical": (CorrelationLaw.classical(), 2.000000000000001,
-                  (-0.08726646259971647, 0.17453292519943295, 3.141592653589793,
-                   0.3490658503988659)),
+    "classical": (CorrelationLaw.classical(), 2.0000000000000004,
+                  (0.0, 0.17453292519943295, 3.141592653589793, 0.33815754257390135)),
     "quantum": (CorrelationLaw.quantum(), 2.8284271247461903,
                 (0.0, 1.5707963267948966, 0.7853981633974483, 5.497787143782138)),
     "superquantum": (CorrelationLaw.superquantum(), 4.0,
@@ -316,9 +321,9 @@ GOLDEN = {
                 (0.0, 1.6689710972195775, 0.0, 3.7306412761378795)),
     "table-8": (seeded_table(8), 3.815134453000244,
                 (0.0, 0.7853981633974483, 1.5707963267948966, 4.71238898038469)),
-    "smooth-5": (smooth_table(5), 2.8358885710204764,
-                 (-0.011070427756323133, 4.630082155972541, 2.2692702437927035,
-                  3.915826179907356)),
+    "smooth-5": (smooth_table(5), 2.8358885710204857,
+                 (-0.00016211993135857364, 4.640990463797506, 2.2801785516176682,
+                  3.926734487732321)),
 }
 
 
@@ -326,6 +331,21 @@ GOLDEN = {
 def test_maximize_matches_golden_results(name):
     law, value, angles = GOLDEN[name]
     assert maximize_chsh(law) == (ChshSettings(*angles), value)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_results_match_the_reference_search(name):
+    # the law's formula at exactly reduced angles, the n^4 scan of its grid,
+    # then the reference compass search with maximize_chsh's step, floor and budget
+    law, value, angles = GOLDEN[name]
+    e = law_formula(law.name, law.table)
+    n = nonlocality.GRID_POINTS
+    grid = [i * GRID_STEP for i in range(n)]
+    m = [[e(relative_angle(grid[(u - v) % n], 0.0)) for v in range(n)] for u in range(n)]
+    start = [grid[k] for k in grid_argmax_reference(m)]
+    assert compass_refine_reference(
+        e, start, GRID_STEP, nonlocality.REFINE_STEP_FLOOR, nonlocality.REFINE_MAX_EVALS
+    ) == (list(angles), value)
 
 
 @pytest.mark.parametrize("cap", [3, 10])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corrwork import _sweepcsv, cli
-from corrwork._sweepcsv import format_blocks, format_rows
+from corrwork._sweepcsv import format_blocks
 
 
 def reference(block) -> bytes:
@@ -27,7 +27,7 @@ def as_block(values, c=4):
 
 def assert_formats_like_percent(values):
     block = as_block(values)
-    got, want = format_rows(block), reference(block)
+    got, want = b"".join(format_blocks([block])), reference(block)
     if got != want:
         wrong = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
         pytest.fail(f"{len(wrong)} lines differ, first {wrong[:3]}")
@@ -67,7 +67,7 @@ class TestKernel:
     def test_block_matches_percent_formatting(self, raw, values):
         bits = np.frombuffer(raw[: len(raw) // 8 * 8], dtype="<u8")  # any bit pattern
         block = as_block(np.concatenate([bits.view("<f8"), values]))
-        assert format_rows(block) == reference(block)
+        assert b"".join(format_blocks([block])) == reference(block)
 
     @pytest.mark.parametrize("exponent", [0, -1, -2, -3, -4, -5, -12, -22, -23, -99,
                                           -100, -150, -250, -290])
@@ -110,10 +110,10 @@ class TestKernel:
         rng = np.random.default_rng(c)
         block = rng.uniform(-1.0, 1.0, (33, c)) * 10.0 ** rng.integers(-40, 1, (33, c))
         block[0, 0], block[-1, -1] = math.nan, 0.0
-        assert format_rows(block) == reference(block)
+        assert b"".join(format_blocks([block])) == reference(block)
         # only fallback fields, each value in every column, the last one too
         block = np.array([np.roll(FALLBACKS, k)[:c] for k in range(len(FALLBACKS))])
-        assert format_rows(block) == reference(block)
+        assert b"".join(format_blocks([block])) == reference(block)
 
     def test_sweep_values_take_the_vector_path(self):
         theta = np.linspace(0.0, math.pi, 4097)
