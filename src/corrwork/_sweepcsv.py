@@ -2,7 +2,7 @@
 
 ``format_blocks(blocks)`` yields, for each (k, c) block, the bytes of
 ``("%.10g," * (c - 1) + "%.10g\\n") * k % tuple(block.ravel())``, computed
-with numpy.
+with numpy, in one piece per slice of at most 4096 rows.
 
 Domain.  A value x takes the vector path when it is finite, |x| < 10, and
 x = 0 or |x| >= 1e-290.  Every other value (NaN, +-inf, subnormals, |x| >= 10)
@@ -42,9 +42,16 @@ A fallback field keeps its n <= 17 bytes and the separator.  Multiplied by
 the mask, every dropped byte becomes NUL, which no field prints, so deleting
 the NULs from the block's slots leaves the bytes of every field.
 
-``format_blocks`` formats all blocks in one slot array and one keep-mask
-(377 KB each for 4096 rows of four columns), allocated for the first block
-and again only for a larger one.
+Columns.  A column whose bits equal those of the column to its left prints
+the same fields, so only a block's distinct columns are rounded and filled,
+one after another, in the slots; each is then copied to every place that
+prints it, and the last column's separators become newlines.  A sweep's
+w_kT column repeats i_nats, so three of its four columns are formatted.
+
+Buffers.  ``format_blocks`` formats every block in row slices of at most
+4096 rows, all in one slot array and one line array (377 KB each for four
+columns), allocated for the first block and again only for a larger one;
+the keep-mask borrows the line array until the fields are copied there.
 Allocated per block, they and the heap under the block's temporaries went
 back to the system after each block and were faulted in again for the next,
 which took about a fifth of a sweep's CPU time.
@@ -66,6 +73,8 @@ _EXP2, _EXP3 = 5, 6
 _FALLBACK = 2 * 7 * 11
 #: a computed y this close to a half-integer may round either way
 _TIE_WINDOW = 1e-5
+#: rows formatted at once; a longer block is formatted in slices of this many
+_ROWS = 4096
 
 
 def _words(raw) -> np.ndarray:
@@ -156,8 +165,11 @@ def _column(slots: np.ndarray, offset: int, dtype) -> np.ndarray:
 def _fill(slots: np.ndarray, x: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Write every field's digits and exponent into its slot; returns the
     fields' counts of significant digits."""
-    q, rest = np.divmod(n, 100_000_000)
-    r1, r2 = np.divmod(rest, 10_000)
+    # floor division and a product: np.divmod takes twice as long
+    q = n // 100_000_000
+    rest = n - q * 100_000_000
+    r1 = rest // 10_000
+    r2 = rest - r1 * 10_000
     _column(slots, _SIGN, np.uint32)[:] = _LEAD
     _column(slots, _D0 - 2, np.uint32)[:] = _GROUPS[q]  # "00" D0 D1
     slots[:, _DOT + 1] = slots[:, _DOT]
@@ -170,31 +182,53 @@ def _fill(slots: np.ndarray, x: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def format_blocks(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
-    """The "%.10g" CSV lines of each (k, c) float64 block, fields joined by
-    ","; every block is formatted in the same slot and keep buffers."""
-    slots, keep = np.empty((0, _WIDTH), np.uint8), np.empty((0, _WIDTH), bool)
+    """The "%.10g" CSV lines of (k, c) float64 blocks, fields joined by ",",
+    one piece per slice of at most _ROWS rows of a block; every slice is
+    formatted in the same slot and line buffers."""
+    slots = lines = np.empty((0, _WIDTH), np.uint8)
     for block in blocks:
-        m = block.size
+        k, c = block.shape
+        m = min(k, _ROWS) * c
         if m > len(slots):
-            slots, keep = np.empty((m, _WIDTH), np.uint8), np.empty((m, _WIDTH), bool)
-        yield _format(block, slots[:m], keep[:m])
+            slots, lines = np.empty((m, _WIDTH), np.uint8), np.empty((m, _WIDTH), np.uint8)
+        for start in range(0, k, _ROWS):
+            yield _format(block[start : start + _ROWS], slots, lines)
 
 
-def _format(block: np.ndarray, slots: np.ndarray, keep: np.ndarray) -> bytes:
-    """The CSV lines of ``block``, in the (k * c, 23) buffers ``slots`` and ``keep``."""
-    c = block.shape[1]
-    v = np.ascontiguousarray(block, dtype=np.float64).ravel()
+def _format(block: np.ndarray, slots: np.ndarray, lines: np.ndarray) -> bytes:
+    """The CSV lines of ``block``: each distinct column is formatted once, in
+    ``slots``, and copied to every place that prints it in ``lines``."""
+    k, c = block.shape
+    block = np.asarray(block, dtype=np.float64)
+    # a column prints the fields of its left neighbour when their bits are
+    # equal; equal values are not enough, 0.0 and -0.0 print differently
+    bits = block.view(np.int64)
+    columns, source = [block[:, 0]], [0]
+    for j in range(1, c):
+        if not np.array_equal(bits[:, j], bits[:, j - 1]):
+            columns.append(block[:, j])
+        source.append(len(columns) - 1)
+    v = np.concatenate(columns)
+    fields = slots[: len(v)]
     x, n, slow = _round(v)
-    sig = _fill(slots, x, n)
-    slots[c - 1 :: c, _SEP] = ord("\n")
+    sig = _fill(fields, x, n)
 
     cls = np.minimum(-x, _EXP2) + (x <= -100)
     row = np.signbit(v) * (7 * 11) + cls * 11 + sig
     for i in np.flatnonzero(slow).tolist():
         field = b"%.10g" % float(v[i])
-        slots[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
+        fields[i, : len(field)] = np.frombuffer(field, dtype=np.uint8)
         row[i] = _FALLBACK + len(field)
+    # the keep-mask borrows the line buffer, which is written only after it
+    keep = lines[: len(v)].view(bool)
     # every row is in range; mode "raise" would take into a temporary copy of keep
     np.take(_MASKS, row, axis=0, out=keep, mode="clip")
-    slots *= keep  # a dropped byte becomes NUL, which no field prints
-    return slots.tobytes().translate(None, b"\0")
+    fields *= keep  # a dropped byte becomes NUL, which no field prints
+
+    out = lines[: k * c]
+    slot = f"V{_WIDTH}"  # one whole slot as a single numpy item
+    placed, formatted = out.view(slot).reshape(k, c), fields.view(slot).reshape(-1, k)
+    for j, s in enumerate(source):
+        placed[:, j] = formatted[s]
+    out[c - 1 :: c, _SEP] = ord("\n")  # every field was formatted with ","
+    return out.tobytes().translate(None, b"\0")

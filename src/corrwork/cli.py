@@ -12,10 +12,13 @@ Conventions:
     4 internal error (any other exception, a ValueError from the library too)
   - numpy's OpenBLAS runs single-threaded: main sets OPENBLAS_NUM_THREADS=1
     unless the environment sets it or numpy is already imported
-  - sweeps are computed and written in blocks of SWEEP_BLOCK rows; each block
-    is formatted by _sweepcsv, a numpy kernel whose bytes are exactly those
-    of "%.10g", in buffers allocated once per sweep (not faulted in again
-    for every block); numpy is loaded only by sweep, szilard and verify
+  - sweeps are computed in blocks of SWEEP_BLOCK rows, where I(E) runs each
+    branch only on its own rows; each block is formatted by _sweepcsv, a
+    numpy kernel whose bytes are exactly those of "%.10g", in slices of at
+    most 4096 rows and in buffers allocated once per sweep (not faulted in
+    again for every block), and the w_kT column, which repeats i_nats bit
+    for bit, is formatted once with it; numpy is loaded only by sweep,
+    szilard and verify
   - a process enters at run(), which freezes the heap before exit, so the
     interpreter's exit-time collections do not walk it
 
@@ -70,7 +73,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 #: rows per sweep block; keeps a sweep's memory small whatever --steps is
-SWEEP_BLOCK = 4096
+SWEEP_BLOCK = 8192
 
 #: every emitted float has 10 significant digits
 _FLOAT = "%.10g"

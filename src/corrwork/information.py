@@ -11,8 +11,9 @@ sum_k E^(2k) / (2k(2k-1)) for |E| < 3/4 and as
 [(1+|E|) ln(1+|E|) + (1-|E|) ln(1-|E|)]/2 otherwise: near machine precision on
 all of [-1, 1], and never negative.  It is the one route to I:
 mutual_information_law applies it to law.evaluate(theta), and its array twin
-mutual_information_many gives the same bits below |E| = 3/4 and differs above
-it only where numpy's log1p differs from the platform's, by a few ulp.
+mutual_information_many evaluates each branch only on its own elements, with
+the scalar's operations: it gives the same bits below |E| = 3/4 and differs
+above it only where numpy's log1p differs from the platform's, by a few ulp.
 """
 
 from __future__ import annotations
@@ -30,14 +31,19 @@ LN2 = math.log(2.0)
 #: 1/(2k(2k-1)) for k = 1..52; for E^2 < 9/16 the terms beyond the 52nd add
 #: less than 2^-54 of the sum
 _SERIES = tuple(1.0 / (2 * k * (2 * k - 1)) for k in range(1, 53))
+#: the coefficients that Horner's rule adds after its first step, last first
+_HORNER = _SERIES[-2::-1]
 
 
 def _series(x):
-    """sum_k x^k / (2k(2k-1)) by Horner, for x = E^2 < 9/16 (float or array)."""
-    acc = 0.0
-    for c in reversed(_SERIES):
-        acc = acc * x + c
-    return acc * x
+    """sum_k x^k / (2k(2k-1)) by Horner, for x = E^2 < 9/16: a float, or an
+    array whose steps after the first run in place."""
+    acc = 0.0 * x + _SERIES[-1]  # the first step, exactly the last coefficient
+    for c in _HORNER:
+        acc *= x
+        acc += c
+    acc *= x
+    return acc
 
 
 def _log_form(a, log1p):
@@ -74,9 +80,15 @@ def mutual_information_many(e) -> np.ndarray:
     a = np.abs(e)
     if not np.all(a <= 1.0):
         raise ValueError(f"correlation {float(e[~(a <= 1.0)][0])!r} outside [-1, 1]")
+    i = np.empty_like(a)
+    small = a < 0.75
+    x = a[small]
+    x *= x
+    i[small] = _series(x)
+    large = a[~small]
     with np.errstate(divide="ignore", invalid="ignore"):
-        large = np.where(a == 1.0, LN2, _log_form(a, np.log1p))
-    return np.where(a < 0.75, _series(a * a), large)
+        i[~small] = np.where(large == 1.0, LN2, _log_form(large, np.log1p))
+    return i
 
 
 def mutual_information_law(law: CorrelationLaw, theta: Angle | float) -> float:

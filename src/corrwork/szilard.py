@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .information import mutual_information
+from .information import LN2, mutual_information
 from .laws import _Frozen, _set
 from .rng import RandomStream, check_seed
 
@@ -93,9 +93,13 @@ def expected_work(epsilon: float, x: float) -> float:
     """Closed-form mean work (1-eps) ln(2x) + eps ln(2(1-x)), in k_B*T.
 
     x outside (0, 1) is rejected: a branch would be compressed to zero
-    volume, which costs unbounded work.
+    volume, which costs unbounded work.  The one exception is x = 1 at
+    eps = 0, where that branch is never taken: W = ln 2, with the
+    0*ln(0) = 0 convention of binary_entropy.
     """
     _check_error_prob(epsilon)
+    if x == 1.0 and epsilon == 0.0:
+        return LN2
     if not (0.0 < x < 1.0):
         raise ValueError(f"partition fraction {x!r} outside (0, 1)")
     return (1.0 - epsilon) * math.log(2.0 * x) + epsilon * math.log(2.0 * (1.0 - x))

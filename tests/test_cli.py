@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from corrwork import cli
+from corrwork import _sweepcsv, cli
 from corrwork.information import LN2, binary_entropy, mutual_information_many
 from corrwork.laws import CorrelationLaw
 from corrwork.nonlocality import chsh_value
@@ -146,8 +146,11 @@ class TestSweep:
         assert os.listdir(tmp_path) == ["x.csv"]
         assert out.read_text(encoding="utf-8") == "old\n"
 
-    @pytest.mark.parametrize("steps", [2, cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK,
-                                       cli.SWEEP_BLOCK + 1, 2 * cli.SWEEP_BLOCK + 1])
+    # both edges of a format slice and of a sweep block
+    @pytest.mark.parametrize("steps", [2, _sweepcsv._ROWS - 1, _sweepcsv._ROWS,
+                                       _sweepcsv._ROWS + 1, cli.SWEEP_BLOCK - 1,
+                                       cli.SWEEP_BLOCK, cli.SWEEP_BLOCK + 1,
+                                       2 * cli.SWEEP_BLOCK + 1])
     def test_blocks_cover_exactly_steps_rows(self, steps):
         blocks = list(cli.build_sweep(CorrelationLaw.classical(), 0.0, math.pi, steps))
         assert all(b.dtype == np.float64 and b.shape[1] == 4
@@ -179,7 +182,8 @@ class TestSweep:
             assert np.array_equal(block[:, 1], e)
             assert np.array_equal(block[:, 2], mutual_information_many(e))
 
-    @pytest.mark.parametrize("steps", [2, cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK + 1, 100001])
+    @pytest.mark.parametrize("steps", [2, _sweepcsv._ROWS - 1, _sweepcsv._ROWS + 1,
+                                       cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK + 1, 100001])
     @pytest.mark.parametrize("law", [
         CorrelationLaw.classical(), CorrelationLaw.quantum(),
         CorrelationLaw.superquantum(), CorrelationLaw.tabulated([(1.0, 0.25)]),
@@ -373,6 +377,24 @@ class TestSzilardCommand:
         assert report["std_error"] == 0.0
         assert report["boundary_optimum"] is True
         assert report["x"] == 1.0
+
+    def test_full_expansion_of_a_perfect_bit(self, tmp_path):
+        # --optimal runs this same x = 1; W(0, 1) = ln 2, since 0 ln 0 = 0
+        code, out, err = run_module_child(["szilard", "--epsilon", "0", "--x", "1",
+                                           "--trials", "1000"], tmp_path)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        ln2 = float("%.10g" % LN2)
+        assert report["expected_work_kT"] == report["mean_work_kT"] == ln2
+        assert (report["x"], report["std_error"]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("eps", ["5e-324", "1e-17", "0.25"])
+    def test_full_expansion_of_an_imperfect_bit_is_usage_error(self, capsys, eps):
+        # W is -inf at x = 1 for every eps > 0, even where EngineConfig accepts x = 1
+        code, out, err = run(capsys, "szilard", "--epsilon", eps, "--x", "1",
+                             "--trials", "10")
+        assert (code, out) == (2, "")
+        assert "outside (0, 1)" in err
 
     def test_worthless_bit_optimal(self, capsys):
         report = run_json(capsys, "szilard", "--epsilon", "0.5", "--optimal",

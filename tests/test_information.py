@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corrwork.information import (
     LN2,
@@ -53,6 +53,10 @@ ALL_LAWS = [
 #: the largest gap, in units in the last place, allowed between an array
 #: kernel and its scalar twin (numpy's log1p may round differently)
 TWIN_ULPS = 4
+
+#: both sides of the branch switch at |E| = 3/4, zeros, ends and subnormals
+BRANCH_EDGES = [0.75, -0.75, math.nextafter(0.75, 0.0), -math.nextafter(0.75, 0.0),
+                0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072009e-308]
 
 TABLE_LAWS = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=math.pi),
@@ -260,3 +264,21 @@ class TestArrayKernels:
     def test_agrees_with_scalar_twin(self, es):
         for e, value in zip(es, mutual_information_many(np.array(es)).tolist()):
             assert within_ulps(value, mutual_information(e)), e
+
+    @settings(max_examples=300)
+    @given(es=st.lists(st.one_of(CORRELATIONS, st.sampled_from(BRANCH_EDGES)),
+                       max_size=40))
+    @example(es=BRANCH_EDGES)
+    @example(es=[])
+    @example(es=[0.0, -0.5, 0.7499999999999999, 5e-324, -1e-300])  # all series
+    @example(es=[0.75, -0.75, 0.9, -1.0, 1.0])  # all log form
+    def test_keeps_the_scalar_bits_below_three_quarters(self, es):
+        # each branch runs only on its own elements, with the scalar's steps
+        got = mutual_information_many(np.array(es, dtype=float))
+        assert got.shape == (len(es),)
+        for e, value in zip(es, got.tolist()):
+            want = mutual_information(e)
+            if abs(e) < 0.75:
+                assert value.hex() == want.hex(), e
+            else:
+                assert within_ulps(value, want), e

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from corrwork import _sweepcsv, cli
 from corrwork._sweepcsv import format_blocks
+from corrwork.information import mutual_information_many
 
 
 def reference(block) -> bytes:
@@ -130,7 +131,7 @@ class TestKernel:
 
 class TestBuffers:
     """format_blocks formats every block of a sequence in the same slot and
-    keep buffers: no field may print a byte that an earlier block left there."""
+    line buffers: no field may print a byte that an earlier block left there."""
 
     def test_short_fields_after_the_longest_fallbacks(self):
         k = cli.SWEEP_BLOCK
@@ -138,7 +139,8 @@ class TestBuffers:
         blocks = [as_block(np.resize(longest, 4 * k)),
                   as_block(np.resize([0.0, -1.0, 0.5], 4 * k)),
                   as_block(np.resize([0.5, 0.0, -1.0, 0.25, math.pi], 4 * (k // 3)))]
-        assert list(format_blocks(blocks)) == [reference(b) for b in blocks]
+        # a block of more than _ROWS rows comes out in several pieces
+        assert b"".join(format_blocks(blocks)) == b"".join(map(reference, blocks))
 
     def test_a_larger_block_grows_the_buffers(self):
         blocks = [as_block([1.5, -2.0]), as_block(np.linspace(-1.0, 1.0, 4 * 300)),
@@ -155,3 +157,63 @@ class TestBuffers:
         blocks = [np.array(data.draw(st.lists(VALUES, min_size=k * c, max_size=k * c)),
                            dtype=np.float64).reshape(k, c) for k in ks]
         assert list(format_blocks(blocks)) == [reference(b) for b in blocks]
+
+
+class TestColumnReuse:
+    """A column whose bits equal those of its left neighbour prints that
+    column's fields; any other column is formatted on its own."""
+
+    @staticmethod
+    def assert_matches(block):
+        block = np.asarray(block, dtype=np.float64)
+        assert b"".join(format_blocks([block])) == reference(block)
+
+    def test_equal_values_with_other_bits_are_formatted_again(self):
+        # comparing values would reuse -0.0 for 0.0 and print "0,0,-0,-0"
+        self.assert_matches([[0.0, 0.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0]])
+        self.assert_matches([[-0.0, 0.0, -0.0, 0.0]])
+
+    def test_equal_nan_bits_reuse_the_nan_fields(self):
+        nan = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]  # a payload
+        self.assert_matches([[math.nan, math.nan, nan, nan, -math.nan],
+                             [1.0, 1.0, 0.5, 0.5, 0.5]])
+
+    def test_repeats_that_are_not_the_last_column(self):
+        rng = np.random.default_rng(5)
+        a, b, c = rng.uniform(-1.0, 1.0, (3, 17))
+        for columns in ([a, a, b, c], [a, a, a, b], [a, b, b, c, c], [a, a, a, a]):
+            self.assert_matches(np.column_stack(columns))
+
+    @pytest.mark.parametrize("k", [1, 2, 4097])
+    def test_single_column_blocks(self, k):
+        block = np.linspace(-1.0, 1.0, k)[:, None]
+        block[0, 0] = math.nan
+        self.assert_matches(block)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_blocks_with_repeated_columns_match_percent_formatting(self, data):
+        c = data.draw(st.integers(1, 6), label="c")
+        k = data.draw(st.integers(1, 6), label="k")
+        block = np.array(data.draw(st.lists(VALUES, min_size=k * c, max_size=k * c)),
+                         dtype=np.float64).reshape(k, c)
+        for j in range(1, c):
+            how = data.draw(st.sampled_from(["own", "repeat", "flip zeros"]))
+            if how != "own":
+                block[:, j] = block[:, j - 1]
+            if how == "flip zeros":  # equal values, other bits
+                block[:, j] = np.where(block[:, j] == 0.0, -block[:, j], block[:, j])
+        self.assert_matches(block)
+
+    def test_blocks_longer_than_a_slice(self):
+        rows = _sweepcsv._ROWS
+        theta = np.linspace(0.0, math.pi, 2 * rows + 5)
+        e = -np.cos(theta)
+        i = mutual_information_many(e)
+        block = np.column_stack((theta, e, i, i))  # a sweep block: w_kT repeats I
+        block[rows - 1 : rows + 1, 1] = [math.nan, -1.7976931348623157e308]
+        pieces = list(format_blocks([block, block[: rows + 1]]))
+        slices = [block[:rows], block[rows : 2 * rows], block[2 * rows :],
+                  block[:rows], block[rows : rows + 1]]
+        assert pieces == [reference(s) for s in slices]

@@ -32,6 +32,15 @@ class TestExpectedWork:
         assert direct == pytest.approx(0.13081203594113697, abs=1e-16)
         assert expected_work(0.25, 0.75) == pytest.approx(direct, abs=1e-15)
 
+    def test_perfect_bit_at_full_expansion(self):
+        # (1 - 0) ln 2 + 0 ln 0, with the 0 ln 0 = 0 convention of binary_entropy
+        assert expected_work(0.0, 1.0) == expected_work(-0.0, 1.0) == LN2
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-17])
+    def test_full_expansion_needs_a_perfect_bit(self, eps):
+        with pytest.raises(ValueError, match="outside"):
+            expected_work(eps, 1.0)
+
     @pytest.mark.parametrize("bad_x", [0.0, 1.0, -0.5, 1.5])
     def test_partition_domain_error(self, bad_x):
         with pytest.raises(ValueError):
