@@ -2,7 +2,8 @@
 
 Subcommands: sweep, chsh, optimize-chsh, energetic-chsh, hierarchy,
 robustness, szilard, verify.  Law names are classical, quantum,
-superquantum, or table:<path> for a CSV-backed tabulated law.
+superquantum, or table:<path> for a CSV-backed tabulated law; the one
+parser of them is CorrelationLaw.from_name.
 
 Conventions:
   - scalar reports are JSON on stdout, sweeps are CSV files
@@ -14,11 +15,8 @@ Conventions:
     unless the environment sets it or numpy is already imported
   - sweeps are computed in blocks of SWEEP_BLOCK rows, where I(E) runs each
     branch only on its own rows; each block is formatted by _sweepcsv, a
-    numpy kernel whose bytes are exactly those of "%.10g", in slices of at
-    most 4096 rows and in buffers allocated once per sweep (not faulted in
-    again for every block), and the w_kT column, which repeats i_nats bit
-    for bit, is formatted once with it; numpy is loaded only by sweep,
-    szilard and verify
+    numpy kernel whose bytes are exactly those of "%.10g"; numpy is loaded
+    only by sweep, szilard and verify
   - a process enters at run(), which freezes the heap before exit, so the
     interpreter's exit-time collections do not walk it
 
@@ -47,7 +45,7 @@ from .information import (
     mutual_information_law,
     mutual_information_many,
 )
-from .laws import Angle, CorrelationLaw, tabulated_from_csv
+from .laws import Angle, CorrelationLaw
 from .nonlocality import (
     TSIRELSON_BOUND,
     ChshSettings,
@@ -104,15 +102,10 @@ def _emit_json(obj) -> None:
 
 
 def _parse_law(name: str) -> CorrelationLaw:
-    """The named law, or a table law loaded from ``table:<path>``; an unknown
-    name or a malformed table is a usage error, an unreadable file an I/O one."""
+    """CorrelationLaw.from_name, where an unknown name or a malformed table is
+    a usage error; an unreadable file stays an I/O one."""
     try:
-        if not name.startswith("table:"):
-            return CorrelationLaw.from_name(name)
-        path = name[len("table:"):]
-        if not path:
-            raise UsageError("table law needs a path: table:<path>")
-        return tabulated_from_csv(path)
+        return CorrelationLaw.from_name(name)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -8,6 +8,8 @@ angle theta between the two parties' measurement directions:
     superquantum  E(theta) = sgn(2*theta/pi - 1)    (step, sgn(0) = 0)
 
 plus a tabulated law interpolated from user-supplied (theta, E) knots.
+CorrelationLaw.from_name is the one parser of law names, the CLI's
+``table:<path>`` included.
 
 Angles are canonicalized to [0, pi] on construction: theta maps to
 r = fmod(|theta|, 2*pi), reflected to min(r, 2*pi - r).  fmod is exact, and
@@ -162,7 +164,13 @@ class CorrelationLaw(_Frozen):
 
     @classmethod
     def from_name(cls, name: str) -> "CorrelationLaw":
-        """Law for a CLI name: classical, quantum, or superquantum."""
+        """Law for a name: classical, quantum, superquantum, or ``table:<path>``
+        (loaded by tabulated_from_csv); a bad name or table raises ValueError."""
+        if name.startswith("table:"):
+            path = name[len("table:"):]
+            if not path:
+                raise ValueError("table law needs a path: table:<path>")
+            return tabulated_from_csv(path)
         for kind in (_CLASSICAL, _QUANTUM, _SUPERQUANTUM):
             if name == kind.value:
                 return cls(kind)
@@ -262,31 +270,38 @@ def tabulated_from_csv(path) -> CorrelationLaw:
     The file must carry exactly that header, strictly increasing angles in
     [0, pi], and correlations in [-1, 1].  It is read as UTF-8, with or
     without a leading byte-order mark.  Parse errors name the offending
-    line number.
+    line number, and so does a byte that is not UTF-8.
     """
     import csv  # lazily: only table laws read a CSV
+    import io
 
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8") from exc
     knots: list[tuple[float, float]] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: line 1: empty file, expected header theta_radians,e")
-        if [h.strip() for h in header] != ["theta_radians", "e"]:
-            raise ValueError(f"{path}: line 1: expected header 'theta_radians,e'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                theta = float(row[0])
-                e = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
-            prev = knots[-1][0] if knots else -math.inf
-            _check_knot(theta, e, prev, f"{path}: line {lineno}: ")
-            knots.append((theta, e))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: line 1: empty file, expected header theta_radians,e")
+    if [h.strip() for h in header] != ["theta_radians", "e"]:
+        raise ValueError(f"{path}: line 1: expected header 'theta_radians,e'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+        try:
+            theta = float(row[0])
+            e = float(row[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
+        prev = knots[-1][0] if knots else -math.inf
+        _check_knot(theta, e, prev, f"{path}: line {lineno}: ")
+        knots.append((theta, e))
     if not knots:
         raise ValueError(f"{path}: no data rows")
     return CorrelationLaw.tabulated(knots)

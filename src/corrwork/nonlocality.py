@@ -75,12 +75,7 @@ class ChshSettings(_Frozen):
         return cls(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "phi_a": self.phi_a,
-            "phi_a_prime": self.phi_a_prime,
-            "phi_b": self.phi_b,
-            "phi_b_prime": self.phi_b_prime,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
     def relative_angles(self) -> tuple[Angle, Angle, Angle, Angle]:
         """Canonical relative angles for (a,b), (a,b'), (a',b), (a',b')."""

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from corrwork import _sweepcsv, cli
+from corrwork import _sweepcsv, cli, energetics
 from corrwork.information import LN2, binary_entropy, mutual_information_many
 from corrwork.laws import CorrelationLaw
 from corrwork.nonlocality import chsh_value
@@ -44,6 +45,17 @@ def read_rows(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "theta,e,i_nats,w_kT"
     return [tuple(float(f) for f in line.split(",")) for line in lines[1:]]
+
+
+def fit_poorly(monkeypatch):
+    """Make every decay fit keep its slope and intercept but report r^2 = 0.99."""
+    loglog_fit = energetics._loglog_fit
+
+    def poor(xs, ys):
+        slope, intercept, _ = loglog_fit(xs, ys)
+        return slope, intercept, 0.99
+
+    monkeypatch.setattr(energetics, "_loglog_fit", poor)
 
 
 class TestSweep:
@@ -281,7 +293,24 @@ class TestSweep:
         code, out, err = run(capsys, "chsh", "--law", f"table:{law_csv}")
         assert code == 2
         assert out == ""
-        assert err.startswith("corrwork: error: ")
+        assert err == f"corrwork: error: {law_csv}: line 3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("law, code, err", [
+        ("table:", 2, "corrwork: error: table law needs a path: table:<path>\n"),
+        ("bogus", 2, "corrwork: error: unknown law name 'bogus'; valid names: "
+                     "classical, quantum, superquantum, table:<path>\n"),
+        ("tabulated", 2, "corrwork: error: unknown law name 'tabulated'; valid names: "
+                         "classical, quantum, superquantum, table:<path>\n"),
+        ("table:missing.csv", 3, "corrwork: i/o error: [Errno 2] "
+                                 "No such file or directory: 'missing.csv'\n"),
+        ("table:range.csv", 2, "corrwork: error: range.csv: line 3: "
+                               "table angle 9.0 outside canonical range [0, pi]\n"),
+    ], ids=["empty-path", "bogus", "tabulated", "missing-file", "out-of-range-knot"])
+    def test_law_errors_are_pinned(self, capsys, monkeypatch, tmp_path, law, code, err):
+        (tmp_path / "range.csv").write_text("theta_radians,e\n0.0,-1.0\n9.0,0.0\n",
+                                            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "chsh", "--law", law) == (code, "", err)
 
     def test_missing_table_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", "--law", f"table:{tmp_path}/nope.csv",
@@ -367,6 +396,13 @@ class TestChshCommands:
         report = run_json(capsys, "robustness", "--anchor", "pi")
         assert report["anchor_radians"] == pytest.approx(math.pi, abs=1e-9)
         assert report["classical"]["exponent"] == pytest.approx(1.0, abs=0.005)
+
+    def test_robustness_reports_a_poor_fit(self, capsys, monkeypatch):
+        fit_poorly(monkeypatch)
+        report = run_json(capsys, "robustness")
+        assert report["classical"]["r_squared"] == report["quantum"]["r_squared"] == 0.99
+        assert report["quantum"]["exponent"] == pytest.approx(2.0, abs=0.01)
+        assert report["superquantum"] == "flat"
 
 
 class TestSzilardCommand:
@@ -682,6 +718,15 @@ class TestVerifyCommand:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["szilard.mc_correct_in_region"]
 
+    def test_poor_fit_fails_its_checks_not_the_process(self, capsys, monkeypatch):
+        fit_poorly(monkeypatch)
+        code, out, err = run(capsys, "verify")
+        assert code == cli.EXIT_VERIFY_FAILED
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["passed"] is False
+        assert err == ("failed checks: robustness.classical.r2_deficit, "
+                       "robustness.quantum.r2_deficit\n")
+
     def test_robustness_section_is_the_robustness_report(self, capsys):
         robustness = run_json(capsys, "robustness", "--anchor", "0")
         del robustness["anchor_radians"]
@@ -883,6 +928,18 @@ class TestProcessBoundary:
         with pytest.raises(OSError) as exc:
             cli.write_sweep_csv(rows, str(tmp_path / "missing" / "s.csv"))
         assert exc.value.errno == errno.ENOENT
+
+    def test_package_version_is_the_cli_version(self, capsys):
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with warnings.catch_warnings():
+            # setuptools marks [tool.setuptools] tables as beta
+            warnings.filterwarnings("ignore", message=r".*\[tool\.setuptools\].*beta")
+            config = pyprojecttoml.read_configuration(pyproject, expand=True)
+        assert "version" in config["project"].get("dynamic", ())  # read from _version
+        with pytest.raises(SystemExit):
+            cli.main(["--version"])
+        assert capsys.readouterr().out == f"corrwork {config['project']['version']}\n"
 
     def test_console_script_enters_at_run(self):
         tomllib = pytest.importorskip("tomllib")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from corrwork import energetics
 from corrwork.energetics import (
     DecayFit,
     energetic_chsh,
@@ -110,6 +111,12 @@ class TestDecayFit:
         at_pi = fit_decay_exponent(law, math.pi)
         assert at_zero is not None and at_pi is not None
         assert at_pi.exponent == pytest.approx(at_zero.exponent, abs=1e-9)
+
+    def test_poor_fit_is_reported_not_raised(self, monkeypatch):
+        # the fit reports r^2; verify's r2_deficit checks judge it
+        monkeypatch.setattr(energetics, "_loglog_fit", lambda xs, ys: (1.0, 0.0, 0.5))
+        fit = fit_decay_exponent(CorrelationLaw.classical(), 0.0)
+        assert (fit.exponent, fit.prefactor, fit.r_squared) == (1.0, 1.0, 0.5)
 
     def test_invalid_anchor_rejected(self):
         with pytest.raises(ValueError):

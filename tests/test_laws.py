@@ -200,6 +200,20 @@ class TestTabulatedLaw:
         with pytest.raises(ValueError, match="valid names"):
             CorrelationLaw.from_name("bogus")
 
+    def test_kind_value_tabulated_is_not_a_name(self):
+        with pytest.raises(ValueError, match="valid names"):
+            CorrelationLaw.from_name("tabulated")
+
+    def test_table_name_loads_the_csv(self, tmp_path):
+        path = tmp_path / "law.csv"
+        path.write_text("theta_radians,e\n0.0,-1.0\n1.0,0.25\n3.0,0.75\n",
+                        encoding="utf-8")
+        assert CorrelationLaw.from_name(f"table:{path}") == tabulated_from_csv(path)
+
+    def test_table_name_needs_a_path(self):
+        with pytest.raises(ValueError, match=r"^table law needs a path: table:<path>$"):
+            CorrelationLaw.from_name("table:")
+
 
 class TestTabulatedCsv:
     def _write(self, tmp_path, text):
@@ -239,6 +253,22 @@ class TestTabulatedCsv:
         path = self._write(tmp_path, "")
         with pytest.raises(ValueError, match="line 1"):
             tabulated_from_csv(path)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xfftheta_radians,e\n0.0,-1.0\n", 1),
+        (b"theta_radians,e\n\xff,0.5\n", 2),
+        (b"\xef\xbb\xbftheta_radians,e\n\xff,0.5\n", 2),
+        (b"theta_radians,e\r\n0.0,-1.0\r\n0.5,0.\xe9\r\n", 3),
+        # far past the first 8 KB chunk that a text reader decodes
+        (b"theta_radians,e\n" + b"".join(b"%r,0.0\n" % (k * 1e-3) for k in range(1000))
+         + b"\xff,0.5\n", 1002),
+    ], ids=["first-byte", "line-2", "after-bom", "crlf", "past-8kb"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, data, line):
+        path = tmp_path / "law.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            tabulated_from_csv(path)
+        assert str(info.value) == f"{path}: line {line}: not valid UTF-8"
 
 
 #: knot coordinates: in and out of range, non-finite, and a small pool of
