@@ -280,7 +280,8 @@ def tabulated_from_csv(path) -> CorrelationLaw:
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]  # csv ends a line at each \n, \r and \r\n
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}: line {line}: not valid UTF-8") from exc
     knots: list[tuple[float, float]] = []
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -289,7 +290,11 @@ def tabulated_from_csv(path) -> CorrelationLaw:
         raise ValueError(f"{path}: line 1: empty file, expected header theta_radians,e")
     if [h.strip() for h in header] != ["theta_radians", "e"]:
         raise ValueError(f"{path}: line 1: expected header 'theta_radians,e'")
-    for lineno, row in enumerate(reader, start=2):
+    while True:
+        lineno = reader.line_num + 1  # the physical line the next record starts on
+        row = next(reader, None)
+        if row is None:
+            break
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:

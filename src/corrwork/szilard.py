@@ -71,6 +71,8 @@ class EngineConfig(_Frozen):
             raise ValueError(
                 f"partition_fraction {partition_fraction!r} outside (0, 1)"
             )
+        if isinstance(trials, bool) or not isinstance(trials, int):
+            raise TypeError(f"trials must be an int, got {type(trials).__name__}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         check_seed(seed)

@@ -270,6 +270,36 @@ class TestTabulatedCsv:
             tabulated_from_csv(path)
         assert str(info.value) == f"{path}: line {line}: not valid UTF-8"
 
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_errors_name_the_line_after_a_quoted_line_break(self, tmp_path, end):
+        # the quoted field spans lines 2 and 3, so the bad record is on line 4,
+        # whether it fails to parse or to decode
+        head = f'theta_radians,e{end}"0.0{end}",-1.0{end}'.encode()
+        path = tmp_path / "law.csv"
+        for bad, message in [(b"foo,0", "non-numeric field"),
+                             (b"\xff,0", "not valid UTF-8")]:
+            path.write_bytes(head + bad + end.encode())
+            with pytest.raises(ValueError) as info:
+                tabulated_from_csv(path)
+            assert str(info.value) == f"{path}: line 4: {message}"
+
+    def test_non_utf8_byte_after_bare_carriage_returns_names_its_line(self, tmp_path):
+        # csv ends a line at a bare CR, as at LF and CRLF
+        path = tmp_path / "law.csv"
+        path.write_bytes(b"theta_radians,e\r0.0,-1.0\r\xff,0\r")
+        with pytest.raises(ValueError) as info:
+            tabulated_from_csv(path)
+        assert str(info.value) == f"{path}: line 3: not valid UTF-8"
+
+    def test_mixed_line_endings_each_end_one_line(self, tmp_path):
+        path = tmp_path / "law.csv"
+        for bad, message in [(b"foo,0", "non-numeric field"),
+                             (b"\xff,0", "not valid UTF-8")]:
+            path.write_bytes(b"theta_radians,e\r\n0.0,-1.0\r0.5,0.0\n\r\n" + bad)
+            with pytest.raises(ValueError) as info:
+                tabulated_from_csv(path)
+            assert str(info.value) == f"{path}: line 5: {message}"
+
 
 #: knot coordinates: in and out of range, non-finite, and a small pool of
 #: repeated values, so that sorted lists repeat angles

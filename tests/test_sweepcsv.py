@@ -100,6 +100,20 @@ class TestKernel:
                   1.5, 2.000000001, 3.14159265358979, 0.1000000001, 0.0001234567891]
         assert_formats_like_percent(values + [-v for v in values])
 
+    @pytest.mark.parametrize("exponent", [0, -1, -2, -3, -4, -5, -42, -99, -100, -290])
+    def test_every_sign_layout_class_and_digit_count(self, exponent):
+        # X = 0..-4 print in fixed notation, the others with a 2- or 3-digit
+        # exponent; each count of significant digits from 1 to 10 ends in a
+        # nonzero digit, with zeros before it ("9005") and without ("1234")
+        texts = [d for count in range(1, 11)
+                 for d in ("1234567891"[:count], ("9" + "0" * 8)[: count - 1] + "5")]
+        values = [float(f"{d}e{exponent - len(d) + 1}") for d in texts]
+        values = np.array(values + [-v for v in values])
+        x, n, slow = _sweepcsv._round(values)
+        assert not slow.any() and (x == exponent).all()
+        assert n.tolist() == [int(d.ljust(10, "0")) for d in texts] * 2
+        assert_formats_like_percent(values)
+
     def test_exact_ties_round_half_even(self):
         # j / 1024 (X = 0) and j / 2048 (X = -1) for odd j have 11 significant
         # digits ending in 5: exact ties for 10 digits

@@ -185,6 +185,13 @@ class TestValidatedTypes:
         with pytest.raises(ValueError, match=f"^{message}$"):
             EngineConfig(**dict(ENGINE, **{field: bad}))
 
+    @pytest.mark.parametrize("bad", [2.5, 1e6, True])
+    def test_engine_config_takes_only_int_trials(self, bad):
+        # simulate would otherwise fail inside numpy, or run True as 1 trial
+        with pytest.raises(TypeError, match=f"^trials must be an int, got "
+                                            f"{type(bad).__name__}$"):
+            EngineConfig(**dict(ENGINE, trials=bad))
+
 
 class TestRecords:
     def test_library_results_are_the_records(self):
