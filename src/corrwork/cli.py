@@ -27,6 +27,7 @@ involved), so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -321,10 +322,9 @@ def _cmd_szilard(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check(checks, name, measured, expected, tol=0, *, at_most=False) -> None:
-    """Record a check: |measured - expected| <= tol, measured <= expected + tol
-    (``at_most``), or equal string flags.  The name's first dotted part is
-    its suite."""
+def _check(checks, prefix, name, measured, expected, tol=0, *, at_most=False) -> None:
+    """Record check ``prefix.name``: |measured - expected| <= tol, measured <=
+    expected + tol (``at_most``), or equal string flags."""
     if at_most:
         ok = measured <= expected + tol
         expected = f"<= {_fmt(expected)}"
@@ -334,7 +334,7 @@ def _check(checks, name, measured, expected, tol=0, *, at_most=False) -> None:
         ok = abs(measured - expected) <= tol
     checks.append(
         {
-            "name": name,
+            "name": f"{prefix}.{name}",
             "measured": measured,
             "expected": expected,
             "tolerance": tol,
@@ -354,53 +354,52 @@ def random_settings(stream: RandomStream, n: int) -> Iterator[ChshSettings]:
         yield ChshSettings(*(stream.next_uniform() * 2.0 * math.pi for _ in range(4)))
 
 
-def run_verify(seed: int = 0) -> dict:
-    """Full invariant suite; returns the JSON-ready report."""
-    import numpy as np
-
-    checks: list[dict] = []
-    classical = CorrelationLaw.classical()
-    quantum = CorrelationLaw.quantum()
-    superquantum = CorrelationLaw.superquantum()
+def _verify_chsh(stream, check) -> dict:
+    """The CHSH triple at the standard angles."""
     standard = ChshSettings.standard()
-    stream = RandomStream(seed)
+    s_c = chsh_value(CorrelationLaw.classical(), standard)
+    s_q = chsh_value(CorrelationLaw.quantum(), standard)
+    s_s = chsh_value(CorrelationLaw.superquantum(), standard)
+    check("classical", s_c, 2.0, 1e-12)
+    check("quantum", s_q, TSIRELSON_BOUND, 1e-12)
+    check("superquantum", s_s, 4.0, 0.0)
+    return {"classical": s_c, "quantum": s_q, "superquantum": s_s}
 
-    # 1. CHSH triple at the standard angles
-    s_c = chsh_value(classical, standard)
-    s_q = chsh_value(quantum, standard)
-    s_s = chsh_value(superquantum, standard)
-    _check(checks, "chsh.classical", s_c, 2.0, 1e-12)
-    _check(checks, "chsh.quantum", s_q, TSIRELSON_BOUND, 1e-12)
-    _check(checks, "chsh.superquantum", s_s, 4.0, 0.0)
-    chsh_report = {"classical": s_c, "quantum": s_q, "superquantum": s_s}
 
-    # 2. local realism: the 16 deterministic strategies reach exactly 2, and
-    # the linear law, which is Bell's local model, never exceeds that ceiling
+def _verify_lhv(stream, check) -> dict:
+    """Local realism: the 16 deterministic strategies reach exactly 2, and the
+    linear law, which is Bell's local model, never exceeds that ceiling."""
+    classical = CorrelationLaw.classical()
     worst = 0.0
     max_classical = 0.0
     for settings in random_settings(stream, 100):
         worst = max(worst, abs(lhv_deterministic_max(settings) - 2.0))
         max_classical = max(max_classical, chsh_value(classical, settings))
-    _check(checks, "lhv.max_deviation_from_2", worst, 0.0, 0.0)
-    _check(checks, "lhv.classical.max_chsh", max_classical, 2.0, 1e-12, at_most=True)
-    lhv_report = {"settings_scanned": 100, "max_deviation_from_2": worst,
-                  "max_classical_chsh": max_classical}
+    check("max_deviation_from_2", worst, 0.0, 0.0)
+    check("classical.max_chsh", max_classical, 2.0, 1e-12, at_most=True)
+    return {"settings_scanned": 100, "max_deviation_from_2": worst,
+            "max_classical_chsh": max_classical}
 
-    # 3. operator-norm scan against the 2*sqrt(2) ceiling
+
+def _verify_tsirelson(stream, check) -> dict:
+    """Operator-norm scan against the 2*sqrt(2) ceiling."""
     max_norm = 0.0
     for settings in random_settings(stream, 1000):
         max_norm = max(max_norm, chsh_operator_norm(settings))
-    standard_norm = chsh_operator_norm(standard)
-    _check(checks, "tsirelson.max_norm", max_norm, TSIRELSON_BOUND, 1e-9, at_most=True)
-    _check(checks, "tsirelson.standard_norm", standard_norm, TSIRELSON_BOUND, 1e-9)
-    tsirelson_report = {
-        "settings_scanned": 1000,
-        "max_norm": max_norm,
-        "standard_norm": standard_norm,
-        "bound": TSIRELSON_BOUND,
-    }
+    standard_norm = chsh_operator_norm(ChshSettings.standard())
+    check("max_norm", max_norm, TSIRELSON_BOUND, 1e-9, at_most=True)
+    check("standard_norm", standard_norm, TSIRELSON_BOUND, 1e-9)
+    return {"settings_scanned": 1000, "max_norm": max_norm,
+            "standard_norm": standard_norm, "bound": TSIRELSON_BOUND}
 
-    # 4. each law's I(theta) against the paper's closed form ln 2 - h2(p(theta))
+
+def _verify_information(stream, check) -> dict:
+    """Each law's I(theta) against the paper's closed form ln 2 - h2(p(theta))."""
+    import numpy as np
+
+    classical = CorrelationLaw.classical()
+    quantum = CorrelationLaw.quantum()
+    superquantum = CorrelationLaw.superquantum()
     grid_n = 10_000
     theta = math.pi * np.arange(grid_n) / (grid_n - 1)
 
@@ -417,58 +416,35 @@ def run_verify(seed: int = 0) -> dict:
     ):
         generic = mutual_information_many(law.evaluate_many(theta))
         worst_gap = max(worst_gap, float(np.max(np.abs(closed - generic))))
-    _check(checks, "information.closed_vs_generic", worst_gap, 0.0, 1e-12)
+    check("closed_vs_generic", worst_gap, 0.0, 1e-12)
     for law in (classical, quantum):
-        for theta, tag in ((0.0, "0"), (math.pi, "pi")):
-            _check(
-                checks,
-                f"information.{law.name}.endpoint_{tag}",
-                mutual_information_law(law, Angle(theta)),
-                LN2,
-                1e-12,
-            )
-    _check(
-        checks,
-        "information.superquantum.at_half_pi",
-        mutual_information_law(superquantum, Angle(math.pi / 2.0)),
-        0.0,
-        0.0,
-    )
-    _check(
-        checks,
-        "information.superquantum.off_half_pi",
-        mutual_information_law(superquantum, Angle(1.0)),
-        LN2,
-        0.0,
-    )
-    information_report = {"grid_points": grid_n, "max_closed_vs_generic_gap": worst_gap}
+        for angle, tag in ((0.0, "0"), (math.pi, "pi")):
+            check(f"{law.name}.endpoint_{tag}",
+                  mutual_information_law(law, Angle(angle)), LN2, 1e-12)
+    check("superquantum.at_half_pi",
+          mutual_information_law(superquantum, Angle(math.pi / 2.0)), 0.0, 0.0)
+    check("superquantum.off_half_pi",
+          mutual_information_law(superquantum, Angle(1.0)), LN2, 0.0)
+    return {"grid_points": grid_n, "max_closed_vs_generic_gap": worst_gap}
 
-    # 5. energetic CHSH values and hierarchy
-    w_c, w_q, w_s = hierarchy_report(standard)
-    expected_c = 2.0 * (LN2 - binary_entropy(0.25))
-    expected_q = 2.0 * (LN2 - binary_entropy(math.sin(math.pi / 8.0) ** 2))
-    expected_s = 2.0 * LN2
-    _check(checks, "energetic_chsh.classical", w_c, expected_c, 1e-9)
-    _check(checks, "energetic_chsh.quantum", w_q, expected_q, 1e-9)
-    _check(checks, "energetic_chsh.superquantum", w_s, expected_s, 1e-9)
+
+def _verify_energetic_chsh(stream, check) -> dict:
+    """Energetic CHSH values at the standard angles, and their hierarchy."""
+    w_c, w_q, w_s = hierarchy_report(ChshSettings.standard())
+    check("classical", w_c, 2.0 * (LN2 - binary_entropy(0.25)), 1e-9)
+    check("quantum", w_q,
+          2.0 * (LN2 - binary_entropy(math.sin(math.pi / 8.0) ** 2)), 1e-9)
+    check("superquantum", w_s, 2.0 * LN2, 1e-9)
     hierarchy = "strict" if w_c < w_q < w_s else "non-strict"
-    _check(checks, "energetic_chsh.hierarchy", hierarchy, "strict")
-    for law, value in ((classical, w_c), (quantum, w_q), (superquantum, w_s)):
-        reduced = abs(
-            3.0 * mutual_information_law(law, Angle(math.pi / 4.0))
-            - mutual_information_law(law, Angle(3.0 * math.pi / 4.0))
-        )
-        _check(checks, f"energetic_chsh.{law.name}.reduced_form", value, reduced, 1e-12)
-    energetic_report = {
-        "classical": w_c,
-        "quantum": w_q,
-        "superquantum": w_s,
-        "hierarchy": hierarchy,
-    }
+    check("hierarchy", hierarchy, "strict")
+    return {"classical": w_c, "quantum": w_q, "superquantum": w_s,
+            "hierarchy": hierarchy}
 
-    # 6. Szilard engine: saturation, second law, Monte Carlo consistency.  The
-    # engine's W(eps, x) at the optimum must meet the reported yield
-    # I(1 - 2 eps), and that yield the textbook ln 2 - h2(eps)
+
+def _verify_szilard(stream, check) -> dict:
+    """Szilard engine: saturation, second law, Monte Carlo consistency.  The
+    engine's W(eps, x) at the optimum must meet the reported yield
+    I(1 - 2 eps), and that yield the textbook ln 2 - h2(eps)."""
     worst_sat = 0.0
     for k in range(1, 11):
         eps = 0.05 * k
@@ -476,7 +452,7 @@ def run_verify(seed: int = 0) -> dict:
         worst_sat = max(worst_sat,
                         abs(expected_work(eps, opt.x_opt) - opt.w_opt_kT),
                         abs(opt.w_opt_kT - (LN2 - binary_entropy(eps))))
-    _check(checks, "szilard.saturation_gap", worst_sat, 0.0, 1e-12)
+    check("saturation_gap", worst_sat, 0.0, 1e-12)
     worst_excess = -math.inf
     for i in range(50):
         eps = 0.5 * i / 49.0
@@ -484,54 +460,66 @@ def run_verify(seed: int = 0) -> dict:
         for j in range(50):
             x = (j + 1) / 51.0
             worst_excess = max(worst_excess, expected_work(eps, x) - bound)
-    _check(checks, "szilard.max_bound_excess", worst_excess, 0.0, 1e-12, at_most=True)
+    check("max_bound_excess", worst_excess, 0.0, 1e-12, at_most=True)
     # seed + k would replay the settings stream of verify --seed (seed + k)
     mc = simulate(
         EngineConfig(error_prob=0.25, partition_fraction=0.75, trials=10**6,
                      seed=stream.next_uint64())
     )
     lo, hi = MC_CORRECT_REGION  # |correct - midpoint| <= half-width, exactly
-    _check(checks, "szilard.mc_correct_in_region", mc.correct, (lo + hi) / 2,
-           (hi - lo) / 2)
-    szilard_report = {
-        "saturation_gap": worst_sat,
-        "max_bound_excess": worst_excess,
-        "mc_mean_kT": mc.mean_work_kT,
-        "mc_std_error": mc.std_error,
-    }
+    check("mc_correct_in_region", mc.correct, (lo + hi) / 2, (hi - lo) / 2)
+    return {"saturation_gap": worst_sat, "max_bound_excess": worst_excess,
+            "mc_mean_kT": mc.mean_work_kT, "mc_std_error": mc.std_error}
 
-    # 7. misalignment robustness exponents
-    robustness_report = _robustness_report(0.0)
-    fit_c, fit_q = robustness_report["classical"], robustness_report["quantum"]
-    _check(checks, "robustness.classical.exponent", fit_c["exponent"], 1.0, 0.005)
-    _check(checks, "robustness.classical.prefactor", fit_c["prefactor"],
-           2.0 / math.pi, 1e-3)
-    _check(checks, "robustness.classical.r2_deficit", 1.0 - fit_c["r_squared"],
-           0.001, 0.0, at_most=True)
-    _check(checks, "robustness.quantum.exponent", fit_q["exponent"], 2.0, 0.01)
-    _check(checks, "robustness.quantum.r2_deficit", 1.0 - fit_q["r_squared"],
-           0.001, 0.0, at_most=True)
-    _check(checks, "robustness.superquantum", robustness_report["superquantum"], "flat")
 
-    # a suite passes when every check named after it passed
-    suites: dict[str, bool] = {}
-    for c in checks:
-        suite = c["name"].split(".", 1)[0]
-        suites[suite] = suites.get(suite, True) and c["passed"]
-    return {
-        "passed": all(suites.values()),
-        "suites_total": len(suites),
-        "suites_passed": sum(suites.values()),
-        "seed": seed,
-        "chsh": chsh_report,
-        "lhv": lhv_report,
-        "tsirelson": tsirelson_report,
-        "mutual_information": information_report,
-        "energetic_chsh": energetic_report,
-        "szilard": szilard_report,
-        "robustness": robustness_report,
-        "checks": checks,
-    }
+def _verify_robustness(stream, check) -> dict:
+    """Misalignment decay exponents, each fit judged by its r^2."""
+    report = _robustness_report(0.0)
+    fit_c, fit_q = report["classical"], report["quantum"]
+    check("classical.exponent", fit_c["exponent"], 1.0, 0.005)
+    check("classical.prefactor", fit_c["prefactor"], 2.0 / math.pi, 1e-3)
+    check("classical.r2_deficit", 1.0 - fit_c["r_squared"], 0.001, 0.0, at_most=True)
+    check("quantum.exponent", fit_q["exponent"], 2.0, 0.01)
+    check("quantum.r2_deficit", 1.0 - fit_q["r_squared"], 0.001, 0.0, at_most=True)
+    check("superquantum", report["superquantum"], "flat")
+    return report
+
+
+#: verify's suites in run order: (report key, check-name prefix, suite); each
+#: suite takes verify's stream and a check recorder bound to its prefix, and
+#: returns its report section
+VERIFY_SUITES = (
+    ("chsh", "chsh", _verify_chsh),
+    ("lhv", "lhv", _verify_lhv),
+    ("tsirelson", "tsirelson", _verify_tsirelson),
+    ("mutual_information", "information", _verify_information),
+    ("energetic_chsh", "energetic_chsh", _verify_energetic_chsh),
+    ("szilard", "szilard", _verify_szilard),
+    ("robustness", "robustness", _verify_robustness),
+)
+
+
+def run_verify(seed: int = 0) -> dict:
+    """Full invariant suite; returns the JSON-ready report.
+
+    The suites run in VERIFY_SUITES order: chsh, lhv, tsirelson,
+    mutual_information, energetic_chsh, szilard, robustness.  The order is
+    fixed because the suites draw from one stream: lhv takes its 100 settings
+    first, tsirelson the next 1000, and szilard then seeds its Monte Carlo
+    with the following word.  A suite passes when all of its own checks pass.
+    """
+    stream = RandomStream(seed)
+    report: dict = {"seed": seed}
+    checks: list[dict] = []
+    verdicts: list[bool] = []
+    for key, prefix, suite in VERIFY_SUITES:
+        own: list[dict] = []
+        report[key] = suite(stream, functools.partial(_check, own, prefix))
+        verdicts.append(all(c["passed"] for c in own))
+        checks += own
+    report.update(passed=all(verdicts), suites_total=len(verdicts),
+                  suites_passed=sum(verdicts), checks=checks)
+    return report
 
 
 def _cmd_verify(args) -> int:

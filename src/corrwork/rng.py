@@ -53,8 +53,8 @@ def _scramble(z: int) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Seeds are ints in [0, 2**64), the state space: no two share a stream."""
-    if not isinstance(seed, int):
+    """Seeds are ints, not bools, in [0, 2**64): no two share a stream."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from operator import itemgetter
 from pathlib import Path
 
 import mpmath
@@ -24,7 +25,7 @@ from corrwork.information import LN2, binary_entropy, mutual_information_many
 from corrwork.laws import CorrelationLaw
 from corrwork.nonlocality import chsh_value
 from corrwork.rng import RandomStream
-from corrwork.szilard import EngineConfig, expected_work, optimal_partition
+from corrwork.szilard import CycleResult, EngineConfig, expected_work, optimal_partition
 
 from oracles import binomial_tail_mp, bit_information_mp, h2_direct
 
@@ -614,6 +615,74 @@ class TestSzilardCommand:
             assert report["n"] == trials and report["std_error"] >= 0.0
 
 
+def rebind(name, wrap):
+    """A break that rebinds ``cli.<name>`` to ``wrap(original)``."""
+    return lambda monkeypatch: monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+
+
+#: each verify suite's check-name prefix -> a break that fails that suite
+#: alone, and the names, after the prefix, of the checks it fails
+SUITE_BREAKS = {
+    "chsh": (rebind("chsh_value", lambda f: lambda law, settings: 0.0),
+             ["classical", "quantum", "superquantum"]),
+    "lhv": (rebind("lhv_deterministic_max", lambda f: lambda settings: 3.0),
+            ["max_deviation_from_2"]),
+    "tsirelson": (rebind("chsh_operator_norm", lambda f: lambda settings: 3.0),
+                  ["max_norm", "standard_norm"]),
+    "information": (rebind("mutual_information_many", lambda f: lambda e: 1.001 * f(e)),
+                    ["closed_vs_generic"]),
+    "energetic_chsh": (rebind("hierarchy_report",
+                              lambda f: lambda settings: itemgetter(1, 0, 2)(f(settings))),
+                       ["classical", "quantum", "hierarchy"]),
+    "szilard": (rebind("simulate",
+                       lambda f: lambda config: CycleResult(0.0, 0.0, config.trials, 0)),
+                ["mc_correct_in_region"]),
+    "robustness": (fit_poorly, ["classical.r2_deficit", "quantum.r2_deficit"]),
+}
+
+#: verify's check-name prefixes in run order -> the report section each owns
+VERIFY_SECTIONS = {
+    "chsh": "chsh",
+    "lhv": "lhv",
+    "tsirelson": "tsirelson",
+    "information": "mutual_information",
+    "energetic_chsh": "energetic_chsh",
+    "szilard": "szilard",
+    "robustness": "robustness",
+}
+
+#: every check of ``verify``, in report order
+VERIFY_CHECK_NAMES = [
+    "chsh.classical",
+    "chsh.quantum",
+    "chsh.superquantum",
+    "lhv.max_deviation_from_2",
+    "lhv.classical.max_chsh",
+    "tsirelson.max_norm",
+    "tsirelson.standard_norm",
+    "information.closed_vs_generic",
+    "information.classical.endpoint_0",
+    "information.classical.endpoint_pi",
+    "information.quantum.endpoint_0",
+    "information.quantum.endpoint_pi",
+    "information.superquantum.at_half_pi",
+    "information.superquantum.off_half_pi",
+    "energetic_chsh.classical",
+    "energetic_chsh.quantum",
+    "energetic_chsh.superquantum",
+    "energetic_chsh.hierarchy",
+    "szilard.saturation_gap",
+    "szilard.max_bound_excess",
+    "szilard.mc_correct_in_region",
+    "robustness.classical.exponent",
+    "robustness.classical.prefactor",
+    "robustness.classical.r2_deficit",
+    "robustness.quantum.exponent",
+    "robustness.quantum.r2_deficit",
+    "robustness.superquantum",
+]
+
+
 class TestVerifyCommand:
     def test_passes_and_reports_seven_suites(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -642,16 +711,30 @@ class TestVerifyCommand:
                   for s in cli.random_settings(RandomStream(seed), 100)]
         assert max(values) > 2.0
 
-    def test_suite_verdicts_follow_their_checks(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "chsh_operator_norm", lambda settings: 3.0)
+    @pytest.mark.parametrize("prefix", SUITE_BREAKS)
+    def test_suite_verdicts_follow_their_checks(self, capsys, monkeypatch, prefix):
+        # each suite fails on its own: one break, one suite down, six passing
+        brk, expected = SUITE_BREAKS[prefix]
+        brk(monkeypatch)
         code, out, err = run(capsys, "verify")
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_reject_constant)
         assert code == cli.EXIT_VERIFY_FAILED
         assert report["passed"] is False
         assert (report["suites_total"], report["suites_passed"]) == (7, 6)
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
-        assert failed == ["tsirelson.max_norm", "tsirelson.standard_norm"]
-        assert err == "failed checks: tsirelson.max_norm, tsirelson.standard_norm\n"
+        assert failed == [f"{prefix}.{name}" for name in expected]
+        assert err == "failed checks: " + ", ".join(failed) + "\n"
+
+    def test_check_names_are_a_contract(self):
+        names = [c["name"] for c in cli.run_verify(0)["checks"]]
+        assert names == VERIFY_CHECK_NAMES
+
+    def test_each_prefix_owns_one_report_section(self):
+        report = cli.run_verify(0)
+        assert [(key, prefix) for key, prefix, _ in cli.VERIFY_SUITES] == [
+            (key, prefix) for prefix, key in VERIFY_SECTIONS.items()]
+        assert set(report) == {"passed", "suites_total", "suites_passed", "seed",
+                               "checks", *VERIFY_SECTIONS.values()}
 
     @staticmethod
     def mc_seed(seed):

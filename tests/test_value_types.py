@@ -15,6 +15,7 @@ import pytest
 from corrwork.energetics import DecayFit, fit_decay_exponent
 from corrwork.laws import Angle, CorrelationLaw, LawKind
 from corrwork.nonlocality import ChshSettings, maximize_chsh
+from corrwork.rng import RandomStream, check_seed
 from corrwork.szilard import (
     CycleResult,
     EngineConfig,
@@ -191,6 +192,16 @@ class TestValidatedTypes:
         with pytest.raises(TypeError, match=f"^trials must be an int, got "
                                             f"{type(bad).__name__}$"):
             EngineConfig(**dict(ENGINE, trials=bad))
+
+    @pytest.mark.parametrize("make", [
+        lambda: RandomStream(True),
+        lambda: check_seed(False),
+        lambda: EngineConfig(**dict(ENGINE, seed=True)),
+    ], ids=["RandomStream", "check_seed", "EngineConfig"])
+    def test_a_bool_is_not_a_seed(self, make):
+        # True would otherwise run on the stream of seed 1 and print seed=True
+        with pytest.raises(TypeError, match="^seed must be an int, got bool$"):
+            make()
 
 
 class TestRecords:
