@@ -25,7 +25,6 @@ from .laws import Angle, CorrelationLaw, LawKind, tabulated_from_csv
 from .nonlocality import (
     TSIRELSON_BOUND,
     ChshSettings,
-    chsh_operator,
     chsh_operator_norm,
     chsh_value,
     lhv_deterministic_max,
@@ -55,7 +54,6 @@ __all__ = [
     "TSIRELSON_BOUND",
     "__version__",
     "binary_entropy",
-    "chsh_operator",
     "chsh_operator_norm",
     "chsh_value",
     "energetic_chsh",

@@ -1,6 +1,7 @@
 """Cyclic Jacobi eigenvalue iteration for small dense symmetric matrices.
 
-Plain-Python on nested lists: the matrices here are 4x4, so simplicity and
+Plain-Python on nested lists: the matrices here are 4x4 and block-diagonal,
+two 2x2 blocks that one rotation each diagonalizes, so simplicity and
 bit-stable behavior matter more than throughput.  Each sweep visits every
 off-diagonal pair (p, q) in row order and applies the rotation that zeroes
 a[p][q]; sweeps repeat until every off-diagonal magnitude falls below the

@@ -9,17 +9,20 @@ reference ceilings apply: deterministic local strategies give exactly 2,
 the two-level operator construction caps the singlet value at 2*sqrt(2),
 and the algebra allows at most 4.
 
-The operator bound is checked constructively: with planar observables
-A(phi) = cos(phi) Z + sin(phi) X, the 4x4 operator
+The operator bound is checked constructively.  With planar observables
+A(phi) = cos(phi) Z + sin(phi) X, the operator
 A(a) (x) (A(b) + A(b')) + A(a') (x) (A(b) - A(b')) is the Pauli sum
-
-    B = alpha ZZ + beta ZX + gamma XZ + delta XX,
-
-alpha, beta = cos(a) p + cos(a') r, cos(a) q + cos(a') t and
-gamma, delta = sin(a) p + sin(a') r, sin(a) q + sin(a') t, where
-p, q = cos b + cos b', sin b + sin b' and r, t = cos b - cos b', sin b - sin b'.
-B is real symmetric by construction, and its spectral norm (via the in-repo
-Jacobi solver) never exceeds 2*sqrt(2).
+alpha ZZ + beta ZX + gamma XZ + delta XX.  It commutes with Y (x) Y, so in
+the Bell basis (phi-, psi+, phi+, psi-) it is two 2x2 blocks,
+[[alpha - delta, beta + gamma], [beta + gamma, delta - alpha]] and
+[[alpha + delta, beta - gamma], [beta - gamma, -alpha - delta]].
+alpha -+ delta and beta +- gamma are the CHSH-signed sums of the cosines and
+sines of a_k +- b_l, so each block's norm is |sum of +-e^{i(a_k +- b_l)}|,
+and neither exceeds 2*sqrt(2).  The Jacobi solver finds the norm with one
+rotation per block.  It stays only because the benchmark pins one solver
+call per norm; once that pin is lifted, Landau's closed form
+max(hypot(alpha - delta, beta + gamma), hypot(alpha + delta, beta - gamma))
+replaces it.
 
 maximize_chsh searches the four angle settings for the largest S: an exact
 O(n^2) scan of the grid at step pi/36, in plain Python over an exactly
@@ -115,9 +118,8 @@ def lhv_deterministic_max(settings: ChshSettings) -> float:
     return best
 
 
-def chsh_operator(settings: ChshSettings) -> list[list[float]]:
-    """The 4x4 real symmetric CHSH operator for planar observables,
-    alpha ZZ + beta ZX + gamma XZ + delta XX."""
+def chsh_operator_norm(settings: ChshSettings) -> float:
+    """Spectral norm of the CHSH operator; at most 2*sqrt(2) for any angles."""
     ca, sa = math.cos(settings.phi_a), math.sin(settings.phi_a)
     cap, sap = math.cos(settings.phi_a_prime), math.sin(settings.phi_a_prime)
     cb, sb = math.cos(settings.phi_b), math.sin(settings.phi_b)
@@ -125,17 +127,12 @@ def chsh_operator(settings: ChshSettings) -> list[list[float]]:
     p, q, r, t = cb + cbp, sb + sbp, cb - cbp, sb - sbp
     alpha, beta = ca * p + cap * r, ca * q + cap * t
     gamma, delta = sa * p + sap * r, sa * q + sap * t
-    return [
-        [alpha, beta, gamma, delta],
-        [beta, -alpha, delta, -gamma],
-        [gamma, delta, -alpha, -beta],
-        [delta, -gamma, -beta, alpha],
-    ]
-
-
-def chsh_operator_norm(settings: ChshSettings) -> float:
-    """Spectral norm of the CHSH operator; at most 2*sqrt(2) for any angles."""
-    return spectral_norm(chsh_operator(settings))
+    return spectral_norm([
+        [alpha - delta, beta + gamma, 0.0, 0.0],
+        [beta + gamma, delta - alpha, 0.0, 0.0],
+        [0.0, 0.0, alpha + delta, beta - gamma],
+        [0.0, 0.0, beta - gamma, -alpha - delta],
+    ])
 
 
 def _grid_argmax(m) -> tuple[int, int, int, int]:

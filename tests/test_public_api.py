@@ -3,26 +3,27 @@
 import pytest
 
 import corrwork
-from corrwork import energetics, information, laws
+from corrwork import energetics, information, laws, nonlocality
 
 PUBLIC = {
     "Angle", "ChshSettings", "CorrelationLaw", "CycleResult", "DecayFit",
     "EngineConfig", "LN2", "LawKind", "PartitionOptimum", "RandomStream",
-    "TSIRELSON_BOUND", "__version__", "binary_entropy", "chsh_operator",
-    "chsh_operator_norm", "chsh_value", "energetic_chsh", "expected_work",
-    "fit_decay_exponent", "hierarchy_report", "lhv_deterministic_max",
-    "maximize_chsh", "mutual_information", "mutual_information_law",
-    "mutual_information_many", "optimal_partition", "simulate", "spectral_norm",
-    "symmetric_eigenvalues", "tabulated_from_csv",
+    "TSIRELSON_BOUND", "__version__", "binary_entropy", "chsh_operator_norm",
+    "chsh_value", "energetic_chsh", "expected_work", "fit_decay_exponent",
+    "hierarchy_report", "lhv_deterministic_max", "maximize_chsh",
+    "mutual_information", "mutual_information_law", "mutual_information_many",
+    "optimal_partition", "simulate", "spectral_norm", "symmetric_eigenvalues",
+    "tabulated_from_csv",
 }
 
 #: names that no subcommand, verify check or acceptance criterion reached,
-#: and information_curve, a second route to I beside mutual_information_many
+#: information_curve, a second route to I beside mutual_information_many, and
+#: chsh_operator, the Pauli-sum matrix that the Bell-basis norm replaced
 RETIRED = (
     "JointDistribution", "joint_distribution", "sample_pair", "sample_pairs",
     "canonicalize_angle", "eval_classical", "eval_quantum", "eval_superquantum",
     "LedgerEntry", "ledger", "work_from_correlation", "conditional_entropy",
-    "information_curve",
+    "information_curve", "chsh_operator",
 )
 
 
@@ -36,7 +37,8 @@ def test_every_public_name_resolves():
         assert getattr(corrwork, name) is not None, name
 
 
-@pytest.mark.parametrize("module", [corrwork, laws, energetics, information],
+@pytest.mark.parametrize("module", [corrwork, laws, energetics, information,
+                                    nonlocality],
                          ids=lambda m: m.__name__)
 def test_retired_names_are_gone(module):
     # without a module __getattr__, "from module import name" fails exactly
