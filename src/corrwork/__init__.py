@@ -20,7 +20,7 @@ from .information import (
     mutual_information_law,
     mutual_information_many,
 )
-from .jacobi import spectral_norm, symmetric_eigenvalues
+from .jacobi import spectral_norm
 from .laws import Angle, CorrelationLaw, LawKind, tabulated_from_csv
 from .nonlocality import (
     TSIRELSON_BOUND,
@@ -68,6 +68,5 @@ __all__ = [
     "optimal_partition",
     "simulate",
     "spectral_norm",
-    "symmetric_eigenvalues",
     "tabulated_from_csv",
 ]

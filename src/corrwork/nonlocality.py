@@ -18,9 +18,9 @@ the Bell basis (phi-, psi+, phi+, psi-) it is two 2x2 blocks,
 [[alpha + delta, beta - gamma], [beta - gamma, -alpha - delta]].
 alpha -+ delta and beta +- gamma are the CHSH-signed sums of the cosines and
 sines of a_k +- b_l, so each block's norm is |sum of +-e^{i(a_k +- b_l)}|,
-and neither exceeds 2*sqrt(2).  The Jacobi solver finds the norm with one
-rotation per block.  It stays only because the benchmark pins one solver
-call per norm; once that pin is lifted, Landau's closed form
+and neither exceeds 2*sqrt(2).  jacobi.spectral_norm diagonalizes each block
+exactly with one rotation.  It stays only because the benchmark pins one
+spectral_norm call per norm; once that pin is lifted, Landau's closed form
 max(hypot(alpha - delta, beta + gamma), hypot(alpha + delta, beta - gamma))
 replaces it.
 

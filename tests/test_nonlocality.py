@@ -148,21 +148,6 @@ class TestOperatorBound:
             norm = chsh_operator_norm(random_settings(stream))
             assert norm <= TSIRELSON_BOUND + 1e-9
 
-    def test_closed_form_of_the_squared_norm(self):
-        # ||B||^2 = 4 + 4 |sin(a - a') sin(b - b')| for planar observables
-        stream = RandomStream(41)
-        for _ in range(200):
-            s = random_settings(stream)
-            expected = math.sqrt(
-                4.0
-                + 4.0
-                * abs(
-                    math.sin(s.phi_a - s.phi_a_prime)
-                    * math.sin(s.phi_b - s.phi_b_prime)
-                )
-            )
-            assert chsh_operator_norm(s) == pytest.approx(expected, abs=1e-9)
-
     def test_singlet_value_never_exceeds_norm(self):
         quantum = CorrelationLaw.quantum()
         stream = RandomStream(43)

@@ -3,7 +3,7 @@
 import pytest
 
 import corrwork
-from corrwork import energetics, information, laws, nonlocality
+from corrwork import energetics, information, jacobi, laws, nonlocality
 
 PUBLIC = {
     "Angle", "ChshSettings", "CorrelationLaw", "CycleResult", "DecayFit",
@@ -12,18 +12,18 @@ PUBLIC = {
     "chsh_value", "energetic_chsh", "expected_work", "fit_decay_exponent",
     "hierarchy_report", "lhv_deterministic_max", "maximize_chsh",
     "mutual_information", "mutual_information_law", "mutual_information_many",
-    "optimal_partition", "simulate", "spectral_norm", "symmetric_eigenvalues",
-    "tabulated_from_csv",
+    "optimal_partition", "simulate", "spectral_norm", "tabulated_from_csv",
 }
 
 #: names that no subcommand, verify check or acceptance criterion reached,
-#: information_curve, a second route to I beside mutual_information_many, and
-#: chsh_operator, the Pauli-sum matrix that the Bell-basis norm replaced
+#: information_curve, a second route to I beside mutual_information_many,
+#: chsh_operator, the Pauli-sum matrix that the Bell-basis norm replaced, and
+#: symmetric_eigenvalues, the dense eigensolver that one rotation per block replaced
 RETIRED = (
     "JointDistribution", "joint_distribution", "sample_pair", "sample_pairs",
     "canonicalize_angle", "eval_classical", "eval_quantum", "eval_superquantum",
     "LedgerEntry", "ledger", "work_from_correlation", "conditional_entropy",
-    "information_curve", "chsh_operator",
+    "information_curve", "chsh_operator", "symmetric_eigenvalues",
 )
 
 
@@ -38,7 +38,7 @@ def test_every_public_name_resolves():
 
 
 @pytest.mark.parametrize("module", [corrwork, laws, energetics, information,
-                                    nonlocality],
+                                    nonlocality, jacobi],
                          ids=lambda m: m.__name__)
 def test_retired_names_are_gone(module):
     # without a module __getattr__, "from module import name" fails exactly
