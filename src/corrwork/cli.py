@@ -382,13 +382,29 @@ def _verify_lhv(stream, check) -> dict:
 
 
 def _verify_tsirelson(stream, check) -> dict:
-    """Operator-norm scan against the 2*sqrt(2) ceiling."""
-    max_norm = 0.0
-    for settings in random_settings(stream, 1000):
-        max_norm = max(max_norm, chsh_operator_norm(settings))
-    standard_norm = chsh_operator_norm(ChshSettings.standard())
+    """Operator-norm scan against the 2*sqrt(2) ceiling, and the closed-form
+    norms against numpy's eigvalsh of the operators built from observables."""
+    import numpy as np
+
+    scanned = [*random_settings(stream, 1000), ChshSettings.standard()]
+    norms = np.array([chsh_operator_norm(s) for s in scanned])
+    max_norm, standard_norm = float(norms[:-1].max()), float(norms[-1])
+    # A(phi) = cos(phi) Z + sin(phi) X at the four angles of each setting, and
+    # the operator A(a) (x) (A(b) + A(b')) + A(a') (x) (A(b) - A(b'))
+    phi = np.array([list(s.as_dict().values()) for s in scanned])
+    cos, sin = np.cos(phi), np.sin(phi)
+    observables = np.stack((cos, sin, sin, -cos), -1).reshape(-1, 4, 2, 2)
+    a, ap, b, bp = observables.swapaxes(0, 1)
+
+    def kron(x, y):
+        return np.einsum("nij,nkl->nikjl", x, y).reshape(-1, 4, 4)
+
+    eigs = np.linalg.eigvalsh(kron(a, b + bp) + kron(ap, b - bp))
+    reference = np.abs(eigs).max(axis=1)
+    gap = float(np.max(np.abs(norms - reference) / reference))
     check("max_norm", max_norm, TSIRELSON_BOUND, 1e-9, at_most=True)
     check("standard_norm", standard_norm, TSIRELSON_BOUND, 1e-9)
+    check("eigvalsh_gap", gap, 0.0, 1e-12)
     return {"settings_scanned": 1000, "max_norm": max_norm,
             "standard_norm": standard_norm, "bound": TSIRELSON_BOUND}
 

@@ -9,20 +9,21 @@ reference ceilings apply: deterministic local strategies give exactly 2,
 the two-level operator construction caps the singlet value at 2*sqrt(2),
 and the algebra allows at most 4.
 
-The operator bound is checked constructively.  With planar observables
-A(phi) = cos(phi) Z + sin(phi) X, the operator
+The operator bound is Landau's closed form (Phys. Lett. A 120, 54, 1987).
+With planar observables A(phi) = cos(phi) Z + sin(phi) X, the operator
 A(a) (x) (A(b) + A(b')) + A(a') (x) (A(b) - A(b')) is the Pauli sum
 alpha ZZ + beta ZX + gamma XZ + delta XX.  It commutes with Y (x) Y, so in
-the Bell basis (phi-, psi+, phi+, psi-) it is two 2x2 blocks,
+the Bell basis (phi-, psi+, phi+, psi-) it is two traceless 2x2 blocks,
 [[alpha - delta, beta + gamma], [beta + gamma, delta - alpha]] and
-[[alpha + delta, beta - gamma], [beta - gamma, -alpha - delta]].
+[[alpha + delta, beta - gamma], [beta - gamma, -alpha - delta]].  A block
+[[x, y], [y, -x]] has eigenvalues +-hypot(x, y), so the norm is
+max(hypot(alpha - delta, beta + gamma), hypot(alpha + delta, beta - gamma)).
 alpha -+ delta and beta +- gamma are the CHSH-signed sums of the cosines and
-sines of a_k +- b_l, so each block's norm is |sum of +-e^{i(a_k +- b_l)}|,
-and neither exceeds 2*sqrt(2).  jacobi.spectral_norm diagonalizes each block
-exactly with one rotation.  It stays only because the benchmark pins one
-spectral_norm call per norm; once that pin is lifted, Landau's closed form
-max(hypot(alpha - delta, beta + gamma), hypot(alpha + delta, beta - gamma))
-replaces it.
+sines of a_k +- b_l, so each hypot is |sum of +-e^{i(a_k +- b_l)}|, and
+neither exceeds 2*sqrt(2).  jacobi.spectral_norm takes the two blocks as
+(x, y) pairs and returns the larger hypot, in one call per norm.  verify
+checks the form against numpy's eigvalsh of the operators built from the
+observables.
 
 maximize_chsh searches the four angle settings for the largest S: an exact
 O(n^2) scan of the grid at step pi/36, in plain Python over an exactly
@@ -127,12 +128,7 @@ def chsh_operator_norm(settings: ChshSettings) -> float:
     p, q, r, t = cb + cbp, sb + sbp, cb - cbp, sb - sbp
     alpha, beta = ca * p + cap * r, ca * q + cap * t
     gamma, delta = sa * p + sap * r, sa * q + sap * t
-    return spectral_norm([
-        [alpha - delta, beta + gamma, 0.0, 0.0],
-        [beta + gamma, delta - alpha, 0.0, 0.0],
-        [0.0, 0.0, alpha + delta, beta - gamma],
-        [0.0, 0.0, beta - gamma, -alpha - delta],
-    ])
+    return spectral_norm(((alpha - delta, beta + gamma), (alpha + delta, beta - gamma)))
 
 
 def _grid_argmax(m) -> tuple[int, int, int, int]:

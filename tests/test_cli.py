@@ -628,7 +628,7 @@ SUITE_BREAKS = {
     "lhv": (rebind("lhv_deterministic_max", lambda f: lambda settings: 3.0),
             ["max_deviation_from_2"]),
     "tsirelson": (rebind("chsh_operator_norm", lambda f: lambda settings: 3.0),
-                  ["max_norm", "standard_norm"]),
+                  ["max_norm", "standard_norm", "eigvalsh_gap"]),
     "information": (rebind("mutual_information_many", lambda f: lambda e: 1.001 * f(e)),
                     ["closed_vs_generic"]),
     "energetic_chsh": (rebind("hierarchy_report",
@@ -660,6 +660,7 @@ VERIFY_CHECK_NAMES = [
     "lhv.classical.max_chsh",
     "tsirelson.max_norm",
     "tsirelson.standard_norm",
+    "tsirelson.eigvalsh_gap",
     "information.closed_vs_generic",
     "information.classical.endpoint_0",
     "information.classical.endpoint_pi",
@@ -800,6 +801,16 @@ class TestVerifyCommand:
         report = cli.run_verify(0)
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["szilard.mc_correct_in_region"]
+
+    def test_a_slightly_scaled_norm_fails_only_the_eigvalsh_check(self, monkeypatch):
+        # 1e-10 relative moves the standard norm by 2.8e-10, inside the 1e-9
+        # of both ceiling checks; only the cross-check against eigvalsh sees it
+        norm = cli.chsh_operator_norm
+        monkeypatch.setattr(cli, "chsh_operator_norm",
+                            lambda settings: norm(settings) * (1.0 + 1e-10))
+        report = cli.run_verify(0)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["tsirelson.eigvalsh_gap"]
 
     def test_poor_fit_fails_its_checks_not_the_process(self, capsys, monkeypatch):
         fit_poorly(monkeypatch)

@@ -142,6 +142,22 @@ class TestOperatorBound:
                                      rel=1e-14, abs=0.0)
         assert norm == pytest.approx(landau, rel=1e-14, abs=0.0)
 
+    @example(angles=(0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0))
+    @example(angles=(0.0, 0.0, 0.0, 0.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(angles=st.tuples(*[st.floats(-50.0, 50.0)] * 4))
+    def test_norm_is_the_hypot_form_bit_for_bit(self, angles):
+        # alpha ZZ + beta ZX + gamma XZ + delta XX from the four observables;
+        # the two Bell blocks are traceless, so each norm is one hypot
+        ca, cap, cb, cbp = map(math.cos, angles)
+        sa, sap, sb, sbp = map(math.sin, angles)
+        alpha = ca * (cb + cbp) + cap * (cb - cbp)
+        beta = ca * (sb + sbp) + cap * (sb - sbp)
+        gamma = sa * (cb + cbp) + sap * (cb - cbp)
+        delta = sa * (sb + sbp) + sap * (sb - sbp)
+        assert chsh_operator_norm(ChshSettings(*angles)) == max(
+            math.hypot(alpha - delta, beta + gamma), math.hypot(alpha + delta, beta - gamma))
+
     def test_thousand_random_settings_never_exceed(self):
         stream = RandomStream(37)
         for _ in range(1000):
