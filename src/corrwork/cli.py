@@ -7,7 +7,8 @@ parser of them is CorrelationLaw.from_name.
 
 Conventions:
   - scalar reports are JSON on stdout, sweeps are CSV files
-  - floats are emitted with 10 significant digits
+  - floats are emitted with 10 significant digits; a finite value that would
+    round past the float maximum is emitted as +-1.797693134e+308
   - work is reported in k_B*T units; pass --temperature to add joules
   - exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
     4 internal error (any other exception, a ValueError from the library too)
@@ -76,6 +77,8 @@ SWEEP_BLOCK = 8192
 
 #: every emitted float has 10 significant digits
 _FLOAT = "%.10g"
+#: the largest 10-digit float; the float maximum rounds up to 1.797693135e+308 = inf
+_FLOAT_MAX = 1.797693134e308
 
 
 class UsageError(Exception):
@@ -87,9 +90,13 @@ def _fmt(x: float) -> str:
 
 
 def _round_floats(obj):
-    """Clamp every float in a JSON-ready structure to 10 significant digits."""
+    """Clamp every float in a JSON-ready structure to 10 significant digits; a
+    finite float that rounds past the float range rounds toward zero instead."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        rounded = float(_fmt(obj))
+        if math.isinf(rounded) and math.isfinite(obj):
+            return math.copysign(_FLOAT_MAX, obj)
+        return rounded
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -633,8 +640,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if "numpy" not in sys.modules:
-        # corrwork calls no BLAS routine, so numpy's OpenBLAS thread pool
-        # only costs start-up time; a value the caller set wins
+        # corrwork's one LAPACK call, verify's eigvalsh of 4x4 operators, is far
+        # below any size that threads, so numpy's OpenBLAS thread pool only
+        # costs start-up time; a value the caller set wins
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)

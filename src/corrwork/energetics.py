@@ -28,30 +28,24 @@ step law.  The fit reports its r^2 and does not judge it; its callers do
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .information import mutual_information_law
 from .laws import Angle, CorrelationLaw, LawKind
-from .nonlocality import ChshSettings
+
+if TYPE_CHECKING:
+    from .nonlocality import ChshSettings
 
 #: least-squares window for the misalignment fit, radians
 DECAY_WINDOW = (1e-3, 1e-1)
 DECAY_POINTS = 25
 
-#: correlation deficits below this across the window count as flat
-FLAT_DEFICIT = 1e-15
-
 
 def energetic_chsh(law: CorrelationLaw, settings: ChshSettings) -> float:
     """S_W = |I(a,b) + I(a,b') + I(a',b) - I(a',b')| in k_B*T units."""
-    t_ab, t_abp, t_apb, t_apbp = settings.relative_angles()
-    return abs(
-        mutual_information_law(law, t_ab)
-        + mutual_information_law(law, t_abp)
-        + mutual_information_law(law, t_apb)
-        - mutual_information_law(law, t_apbp)
-    )
+    return settings.combine(functools.partial(mutual_information_law, law))
 
 
 def hierarchy_report(settings: ChshSettings) -> tuple[float, float, float]:
@@ -98,8 +92,8 @@ def fit_decay_exponent(law: CorrelationLaw, anchor: Angle | float) -> DecayFit |
 
     ``anchor`` must be one of the perfect-correlation points 0 or pi.  The
     fit runs over 25 geometrically spaced misalignments in DECAY_WINDOW.
-    Returns None when the deficit stays below FLAT_DEFICIT across the whole
-    window (the step law), since there is nothing to fit.
+    Returns None when the deficit is exactly 0 across the whole window (the
+    step law), since there is nothing to fit.
     """
     if law.kind is LawKind.TABULATED:
         raise ValueError("decay fit supports the classical, quantum, and "
@@ -114,7 +108,7 @@ def fit_decay_exponent(law: CorrelationLaw, anchor: Angle | float) -> DecayFit |
     # Angle is even: Angle(d - a) is d at anchor 0 and pi - d at anchor pi
     deficits = [1.0 - abs(law.evaluate(Angle(d - a))) for d in deltas]
 
-    if all(d < FLAT_DEFICIT for d in deficits):
+    if not any(deficits):
         return None
 
     slope, intercept, r2 = _loglog_fit(deltas, deficits)

@@ -4,7 +4,9 @@ The CHSH parameter for a correlation law E and four measurement angles is
 
     S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')|
 
-with each correlator evaluated at the canonicalized relative angle.  Three
+with each correlator evaluated at the canonicalized relative angle;
+ChshSettings.combine forms that signed sum for any function of the angle,
+so energetic_chsh shares it.  Three
 reference ceilings apply: deterministic local strategies give exactly 2,
 the two-level operator construction caps the singlet value at 2*sqrt(2),
 and the algebra allows at most 4.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import add, sub
+from typing import Callable
 
 from .jacobi import spectral_norm
 from .laws import Angle, CorrelationLaw, _Frozen, _set
@@ -81,25 +84,17 @@ class ChshSettings(_Frozen):
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.__slots__, self._values()))
 
-    def relative_angles(self) -> tuple[Angle, Angle, Angle, Angle]:
-        """Canonical relative angles for (a,b), (a,b'), (a',b), (a',b')."""
-        return (
-            Angle(self.phi_a - self.phi_b),
-            Angle(self.phi_a - self.phi_b_prime),
-            Angle(self.phi_a_prime - self.phi_b),
-            Angle(self.phi_a_prime - self.phi_b_prime),
-        )
+    def combine(self, f: Callable[[Angle], float]) -> float:
+        """The CHSH combination |f(a-b) + f(a-b') + f(a'-b) - f(a'-b')| of a
+        function of the canonical relative angle, summed left to right."""
+        a, ap, b, bp = self.phi_a, self.phi_a_prime, self.phi_b, self.phi_b_prime
+        return abs(f(Angle(a - b)) + f(Angle(a - bp))
+                   + f(Angle(ap - b)) - f(Angle(ap - bp)))
 
 
 def chsh_value(law: CorrelationLaw, settings: ChshSettings) -> float:
     """S = |E(a,b) + E(a,b') + E(a',b) - E(a',b')| for the given law."""
-    t_ab, t_abp, t_apb, t_apbp = settings.relative_angles()
-    return abs(
-        law.evaluate(t_ab)
-        + law.evaluate(t_abp)
-        + law.evaluate(t_apb)
-        - law.evaluate(t_apbp)
-    )
+    return settings.combine(law.evaluate)
 
 
 def lhv_deterministic_max(settings: ChshSettings) -> float:

@@ -406,6 +406,52 @@ class TestChshCommands:
         assert report["superquantum"] == "flat"
 
 
+#: the largest finite float, and the 10-digit value it is printed as
+FLOAT_MAX = 1.7976931348623157e308
+PRINTED_MAX = "1.797693134e+308"
+
+
+class TestNearTheFloatMaximum:
+    """A finite value whose 10 digits round past the float range is printed
+    rounded toward zero, in strict JSON, not as an internal error."""
+
+    def _report(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert PRINTED_MAX in out
+        return json.loads(out, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_chsh_angle(self, capsys, sign):
+        report = self._report(capsys, "chsh", "--law", "quantum",
+                              f"--angles={sign * FLOAT_MAX!r},0,0,0")
+        assert report["settings"]["phi_a"] == sign * 1.797693134e308
+
+    def test_hierarchy_angle(self, capsys):
+        report = self._report(capsys, "hierarchy", f"--angles={FLOAT_MAX!r},0,0,0")
+        assert report["settings"]["phi_a"] == 1.797693134e308
+
+    def test_energetic_chsh_temperature(self, capsys):
+        report = self._report(capsys, "energetic-chsh", "--law", "quantum",
+                              f"--temperature={FLOAT_MAX!r}")
+        assert report["temperature_K"] == 1.797693134e308
+        assert math.isfinite(report["s_w_joules"])
+
+    def test_szilard_temperature(self, capsys):
+        report = self._report(capsys, "szilard", "--epsilon", "0.1", "--optimal",
+                              "--trials", "10", "--temperature", "1.7976931348e308")
+        assert report["temperature_K"] == 1.797693134e308
+
+    @pytest.mark.parametrize("value, printed", [
+        (FLOAT_MAX, 1.797693134e308), (-FLOAT_MAX, -1.797693134e308),
+        (1.7976931344e308, 1.797693134e308), (1e308, 1e308),
+        (math.inf, math.inf), (-math.inf, -math.inf),
+    ])
+    def test_only_finite_values_are_rounded_toward_zero(self, value, printed):
+        # an infinity stays one, so the strict dump still refuses it
+        assert cli._round_floats({"v": [value]}) == {"v": [printed]}
+
+
 class TestSzilardCommand:
     def test_perfect_bit_optimal(self, capsys):
         report = run_json(capsys, "szilard", "--epsilon", "0", "--optimal",
@@ -1132,7 +1178,8 @@ def _mostly(good, bad):
     return st.sampled_from([good, good, good, bad]).flatmap(lambda strategy: strategy)
 
 
-SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -1.0, 1e308])
+SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -1.0, 1e308,
+                          FLOAT_MAX])
 NUMBERS = st.one_of(st.floats(min_value=-10.0, max_value=10.0), SPECIAL, st.floats())
 LAWS = _mostly(
     st.sampled_from(["classical", "quantum", "superquantum", "table:{dir}/law.csv"]),

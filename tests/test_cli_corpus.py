@@ -1,12 +1,22 @@
-"""Every case of cli_corpus.json prints the same stdout, byte for byte, and
-exits with the same code.
+"""Every case of cli_corpus.json exits with the same code, prints the same
+stdout and stderr, byte for byte, and writes the same files.
+
+The cases run in process through cli.main, in one working directory that
+holds the input files below, so that a relative path in argv resolves there
+and no output names a temporary directory.  A case's "files" maps each file
+it leaves behind to its sha256; the file is removed after the case.
 
 The digests detect a change; they are not an oracle.  A change that moves
 one lists the case and its reason in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import os
+import random
 from pathlib import Path
 
 from corrwork import cli
@@ -14,13 +24,59 @@ from corrwork import cli
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 
 
-def test_every_case_replays_its_exit_code_and_stdout(capsys):
-    cases = json.loads(CORPUS.read_text())["cases"]
-    changed = []
-    for case in cases:
-        code = cli.main(case["argv"])
-        out = capsys.readouterr().out
-        got = (code, hashlib.sha256(out.encode()).hexdigest())
-        if got != (case["exit"], case["stdout_sha256"]):
-            changed.append(" ".join(case["argv"]))
+def seeded_table(seed: int, knots: int) -> str:
+    """A table law CSV from random.Random(seed): a damped singlet curve with
+    noise, on ``knots`` jittered angles from 0 to pi, written with repr."""
+    rng = random.Random(seed)
+    step = math.pi / (knots - 1)
+    thetas = [0.0, *(k * step + rng.uniform(-0.3, 0.3) * step
+                     for k in range(1, knots - 1)), math.pi]
+    amp = rng.uniform(0.8, 1.0)
+    rows = (f"{t!r},{min(1.0, max(-1.0, -amp * math.cos(t) + rng.gauss(0.0, 0.05)))!r}\n"
+            for t in thetas)
+    return "theta_radians,e\n" + "".join(rows)
+
+
+#: the files every case can read: a seeded table law and a table with a knot
+#: outside [0, pi]
+INPUTS = {
+    "law.csv": seeded_table(31, 40),
+    "range.csv": "theta_radians,e\n0.0,-1.0\n9.0,0.0\n",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_inputs(directory: Path) -> dict[str, str]:
+    """Write INPUTS into ``directory``; returns each file's sha256."""
+    for name, text in INPUTS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return {name: _sha256(text.encode()) for name, text in INPUTS.items()}
+
+
+def replay(argv: list[str]) -> dict:
+    """Run one case in the current directory; returns it as the corpus records it."""
+    before = set(os.listdir())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    case = {"argv": argv, "exit": code,
+            "stdout_sha256": _sha256(out.getvalue().encode()),
+            "stderr_sha256": _sha256(err.getvalue().encode())}
+    written = sorted(set(os.listdir()) - before)
+    if written:
+        case["files"] = {name: _sha256(Path(name).read_bytes()) for name in written}
+        for name in written:
+            os.remove(name)
+    return case
+
+
+def test_every_case_replays_its_exit_code_and_stdout(monkeypatch, tmp_path):
+    corpus = json.loads(CORPUS.read_text())
+    assert write_inputs(tmp_path) == corpus["inputs"]
+    monkeypatch.chdir(tmp_path)
+    changed = [" ".join(case["argv"]) for case in corpus["cases"]
+               if replay(case["argv"]) != case]
     assert not changed

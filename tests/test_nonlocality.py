@@ -63,6 +63,18 @@ class TestChshValue:
         value = chsh_value(CorrelationLaw.superquantum(), ChshSettings.standard())
         assert value == 4.0
 
+    def test_combine_signs_the_four_relative_angles_in_order(self):
+        s = ChshSettings(0.1, 0.7, 0.3, 2.0)
+        seen = []
+
+        def f(angle):
+            seen.append(angle)
+            return 10.0 ** len(seen)
+
+        assert s.combine(f) == abs(10.0 + 100.0 + 1000.0 - 10000.0)
+        assert seen == [Angle(0.1 - 0.3), Angle(0.1 - 2.0), Angle(0.7 - 0.3),
+                        Angle(0.7 - 2.0)]
+
     def test_non_finite_settings_rejected(self):
         with pytest.raises(ValueError):
             ChshSettings(0.0, math.nan, 0.0, 0.0)

@@ -69,6 +69,18 @@ def test_count_below_property(seed, n, p):
     _count_matches_block_twin(seed, n, p)
 
 
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1])
+def test_count_below_matches_scalar_draws(n):
+    scalar = RandomStream(53)
+    draws = [scalar.next_uniform() for _ in range(n)]
+    following = scalar.next_uniform()
+    for p in [0.0, 2.0**-53, 0.25, math.nextafter(1.0, 0.0), 1.0]:
+        counted = RandomStream(53)
+        assert counted.count_below(n, p) == sum(u < p for u in draws), p
+        # the count consumed exactly n draws
+        assert counted.next_uniform() == following, p
+
+
 def _seed_whose_first_word_is(word):
     """Invert the output scramble: its xorshifts and odd multipliers are bijections."""
     def unshift(y, s):
