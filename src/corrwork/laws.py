@@ -18,7 +18,10 @@ the reduction is exactly |remainder(theta, 2*pi)| for every finite double,
 and even: Angle(-x) == Angle(x), down to the smallest misalignment.  Every
 law is therefore total over the reals.  CorrelationLaw.evaluate_many and
 canonical_radians are the array twins of evaluate and Angle, with the same
-arithmetic; numpy is imported only when an array routine runs.
+arithmetic; numpy is imported only when an array routine runs.  A table law
+interpolates by np.interp's formula, (e1 - e0) / (t1 - t0) * (t - t0) + e0,
+takes e0 itself at a knot, and is clipped to [-1, 1]; a table whose slope
+between two knots overflows is rejected.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -125,8 +129,8 @@ class CorrelationLaw(_Frozen):
     """A total map from relative angle to a correlation value in [-1, 1].
 
     ``table`` is only set for the tabulated kind: canonical-angle knots,
-    strictly increasing, linearly interpolated and clamped outside the
-    knot range.
+    strictly increasing with a finite slope between neighbours, linearly
+    interpolated and clamped outside the knot range.
     """
 
     __slots__ = ("kind", "table")
@@ -137,10 +141,10 @@ class CorrelationLaw(_Frozen):
         if kind is _TABULATED:
             if not table:
                 raise ValueError("tabulated law requires a non-empty table")
-            prev = -math.inf
-            for theta, e in table:
-                _check_knot(theta, e, prev)
-                prev = theta
+            prev = None
+            for knot in table:
+                _check_knot(*knot, prev)
+                prev = knot
         elif table is not None:
             raise ValueError(f"{kind.value} law does not take a table")
         _set(self, "kind", kind)
@@ -199,7 +203,9 @@ class CorrelationLaw(_Frozen):
 
     def evaluate_many(self, theta) -> np.ndarray:
         """Array twin of evaluate: E at every angle of ``theta``, with the same
-        arithmetic (a table interpolates by the formula of _interpolate)."""
+        arithmetic.  A table law is np.interp clipped to [-1, 1]: between knots
+        t0 < t < t1 its formula is (e1 - e0) / (t1 - t0) * (t - t0) + e0, and
+        at a knot it is the knot's e, which _interpolate computes alike."""
         import numpy as np
 
         t = canonical_radians(theta)
@@ -210,16 +216,8 @@ class CorrelationLaw(_Frozen):
             return -np.cos(t)
         if kind is _SUPERQUANTUM:
             return np.sign(2.0 * t / math.pi - 1.0)
-        knots, values = _knot_arrays(self.table)
-        if len(knots) == 1:
-            return np.full_like(t, values[0])
-        # clipping keeps the clamped lanes finite; np.where then picks the knot
-        inside = np.clip(t, knots[0], knots[-1])
-        hi = np.clip(np.searchsorted(knots, inside, side="right"), 1, len(knots) - 1)
-        t0, t1, e0, e1 = knots[hi - 1], knots[hi], values[hi - 1], values[hi]
-        inner = e0 + (e1 - e0) * (inside - t0) / (t1 - t0)
-        return np.where(t <= knots[0], values[0],
-                        np.where(t >= knots[-1], values[-1], inner))
+        pairs = np.fromiter(chain.from_iterable(self.table), float, 2 * len(self.table))
+        return np.clip(np.interp(t, pairs[0::2], pairs[1::2]), -1.0, 1.0)
 
     def _interpolate(self, t: float) -> float:
         table = self.table
@@ -231,46 +229,37 @@ class CorrelationLaw(_Frozen):
         # every knot's e is finite, so (t, inf) sorts after each knot at t
         lo = bisect_right(table, (t, math.inf)) - 1
         t0, e0 = table[lo]
+        if t == t0:
+            return e0
         t1, e1 = table[lo + 1]
-        return e0 + (e1 - e0) * (t - t0) / (t1 - t0)
+        e = (e1 - e0) / (t1 - t0) * (t - t0) + e0
+        # rounded, the formula can pass a knot at +-1 by an ulp: clip, as the twin does
+        return e if -1.0 <= e <= 1.0 else math.copysign(1.0, e)
 
 
-def _check_knot(theta: float, e: float, prev: float, where: str = "") -> None:
-    """Reject a table knot unless theta is in [0, pi] and above ``prev``, the
-    previous knot's angle, and e is in [-1, 1]; ``where`` prefixes the message."""
+def _check_knot(theta: float, e: float, prev: tuple | None, where: str = "") -> None:
+    """Reject a table knot unless theta is in [0, pi], e is in [-1, 1], and,
+    after the previous knot ``prev`` (None for the first), theta is larger and
+    the slope between them is finite; ``where`` prefixes the message."""
     if not (0.0 <= theta <= math.pi):
         raise ValueError(f"{where}table angle {theta!r} outside canonical range [0, pi]")
-    if theta <= prev:
+    t0, e0 = prev or (-math.inf, e)  # nothing below the first knot, slope 0
+    if theta <= t0:
         raise ValueError(f"{where}table angles must be strictly increasing")
     if not (-1.0 <= e <= 1.0):
         raise ValueError(f"{where}table correlation {e!r} outside [-1, 1]")
-
-
-#: (table, its knot and value arrays) of the last table law evaluated as an
-#: array; a sweep evaluates one law block after block
-_last_knots: tuple = (None, None)
-
-
-def _knot_arrays(table: tuple) -> np.ndarray:
-    """``np.array(table).T``, converted once per table object."""
-    global _last_knots
-    cached, arrays = _last_knots
-    if cached is not table:
-        import numpy as np
-
-        arrays = np.array(table).T
-        arrays.flags.writeable = False
-        _last_knots = (table, arrays)
-    return arrays
+    if not math.isfinite((e - e0) / (theta - t0)):
+        raise ValueError(f"{where}table slope from angle {t0!r} to {theta!r} overflows")
 
 
 def tabulated_from_csv(path) -> CorrelationLaw:
     """Load a tabulated law from a two-column CSV ``theta_radians,e``.
 
     The file must carry exactly that header, strictly increasing angles in
-    [0, pi], and correlations in [-1, 1].  It is read as UTF-8, with or
-    without a leading byte-order mark.  Parse errors name the offending
-    line number, and so does a byte that is not UTF-8.
+    [0, pi], correlations in [-1, 1], and a finite slope between neighbouring
+    rows.  It is read as UTF-8, with or without a leading byte-order mark.
+    Parse errors name the offending line number, and so does a byte that is
+    not UTF-8.
     """
     import csv  # lazily: only table laws read a CSV
     import io
@@ -304,8 +293,7 @@ def tabulated_from_csv(path) -> CorrelationLaw:
             e = float(row[1])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
-        prev = knots[-1][0] if knots else -math.inf
-        _check_knot(theta, e, prev, f"{path}: line {lineno}: ")
+        _check_knot(theta, e, knots[-1] if knots else None, f"{path}: line {lineno}: ")
         knots.append((theta, e))
     if not knots:
         raise ValueError(f"{path}: no data rows")

@@ -135,7 +135,8 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 def law_formula(name: str, table=None):
     """E(theta) of a law at a canonical angle, written from its definition:
     -1 + 2 theta/pi, -cos theta, sgn(2 theta/pi - 1), or the table's knots
-    joined by straight lines and held flat outside them."""
+    joined by straight lines in np.interp's formula, clipped to [-1, 1], and
+    held flat outside them."""
     if name == "classical":
         return lambda t: -1.0 + 2.0 * t / math.pi
     if name == "quantum":
@@ -147,11 +148,20 @@ def law_formula(name: str, table=None):
         if t <= table[0][0]:
             return table[0][1]
         for (t0, e0), (t1, e1) in zip(table, table[1:]):
+            if t == t0:
+                return e0
             if t < t1:
-                return e0 + (e1 - e0) * (t - t0) / (t1 - t0)
+                return min(1.0, max(-1.0, (e1 - e0) / (t1 - t0) * (t - t0) + e0))
         return table[-1][1]
 
     return tabulated
+
+
+def finite_slopes(knots) -> bool:
+    """Whether the slope (e1 - e0) / (t1 - t0) between each pair of adjacent
+    sorted knots is finite, as a table law requires."""
+    return all(math.isfinite((e1 - e0) / (t1 - t0))
+               for (t0, e0), (t1, e1) in zip(knots, knots[1:]))
 
 
 def relative_angle(phi: float, psi: float) -> float:

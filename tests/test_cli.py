@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, example, given, settings, strategies as st
 
 from corrwork import _sweepcsv, cli, energetics
 from corrwork.information import LN2, binary_entropy, mutual_information_many
@@ -858,15 +858,6 @@ class TestVerifyCommand:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["tsirelson.eigvalsh_gap"]
 
-    def test_poor_fit_fails_its_checks_not_the_process(self, capsys, monkeypatch):
-        fit_poorly(monkeypatch)
-        code, out, err = run(capsys, "verify")
-        assert code == cli.EXIT_VERIFY_FAILED
-        report = json.loads(out, parse_constant=_reject_constant)
-        assert report["passed"] is False
-        assert err == ("failed checks: robustness.classical.r2_deficit, "
-                       "robustness.quantum.r2_deficit\n")
-
     def test_robustness_section_is_the_robustness_report(self, capsys):
         robustness = run_json(capsys, "robustness", "--anchor", "0")
         del robustness["anchor_radians"]
@@ -1239,6 +1230,19 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+class _Drawn:
+    """Stands in for st.data() in an explicit example: drawing the option
+    groups of ``command`` returns ``groups``; a test of any other command
+    rejects the example."""
+
+    def __init__(self, command, *groups):
+        self.command, self.groups = command, groups
+
+    def draw(self, strategy, label=None):
+        assume(strategy is COMMANDS[self.command])
+        return self.groups
+
+
 def _run_in_fresh_dir(argv):
     """Exit code and new entries of one run in a fresh directory ``{dir}``."""
     with tempfile.TemporaryDirectory() as work:
@@ -1275,9 +1279,16 @@ class TestCliProperties:
         else:
             assert code != cli.EXIT_OK
 
+    # the float maximum in a field that the report prints
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @settings(max_examples=40, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(data=_Drawn("chsh", ("--law=quantum",), (f"--angles={FLOAT_MAX!r},0,0,0",)))
+    @example(data=_Drawn("hierarchy", (f"--angles={FLOAT_MAX!r},0,0,0",)))
+    @example(data=_Drawn("energetic-chsh", ("--law=quantum",), (),
+                         (f"--temperature={FLOAT_MAX!r}",)))
+    @example(data=_Drawn("szilard", ("--epsilon=0.1",), ("--optimal",), ("--trials=10",),
+                         (f"--temperature={FLOAT_MAX!r}",), ()))
     @given(data=st.data())
     def test_exit_codes_strict_json_and_no_partial_files(self, capsys, command, data):
         groups = data.draw(COMMANDS[command])

@@ -37,11 +37,34 @@ def seeded_table(seed: int, knots: int) -> str:
     return "theta_radians,e\n" + "".join(rows)
 
 
-#: the files every case can read: a seeded table law and a table with a knot
-#: outside [0, pi]
+def _table_csv(knots) -> str:
+    return "theta_radians,e\n" + "".join(f"{t!r},{e!r}\n" for t, e in knots)
+
+
+def edge_tables(seed: int) -> dict[str, str]:
+    """Four table law CSVs from random.Random(seed), one per edge of the
+    interpolation: a single knot; knots at 0 and pi only; knots that stop
+    short of both ends; and an inner knot at pi/2, which a sweep of an odd
+    number of steps hits exactly, whose value is -0.0."""
+    rng = random.Random(seed)
+    inner = sorted(rng.uniform(0.2, 2.9) for _ in range(6))
+    return {
+        "one.csv": _table_csv([(rng.uniform(0.0, math.pi), rng.uniform(-1.0, 1.0))]),
+        "ends.csv": _table_csv([(0.0, rng.uniform(-1.0, 1.0)),
+                                (math.pi, rng.uniform(-1.0, 1.0))]),
+        "inner.csv": _table_csv([(t, rng.uniform(-1.0, 1.0)) for t in inner]),
+        "negzero.csv": _table_csv([(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 0.0)),
+                                   (math.pi / 2.0, -0.0),
+                                   (rng.uniform(2.0, 3.0), rng.uniform(0.1, 1.0))]),
+    }
+
+
+#: the files every case can read: a seeded table law, a table with a knot
+#: outside [0, pi], and the four edge tables
 INPUTS = {
     "law.csv": seeded_table(31, 40),
     "range.csv": "theta_radians,e\n0.0,-1.0\n9.0,0.0\n",
+    **edge_tables(32),
 }
 
 
@@ -80,3 +103,14 @@ def test_every_case_replays_its_exit_code_and_stdout(monkeypatch, tmp_path):
     changed = [" ".join(case["argv"]) for case in corpus["cases"]
                if replay(case["argv"]) != case]
     assert not changed
+
+
+def test_sweeps_of_different_laws_write_different_files():
+    laws_by_digest: dict[str, set[str]] = {}
+    for case in json.loads(CORPUS.read_text())["cases"]:
+        argv = case["argv"]
+        if argv[0] == "sweep" and case["exit"] == 0:
+            law = argv[argv.index("--law") + 1]
+            for digest in case["files"].values():
+                laws_by_digest.setdefault(digest, set()).add(law)
+    assert all(len(laws) == 1 for laws in laws_by_digest.values())

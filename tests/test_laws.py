@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from corrwork.laws import Angle, CorrelationLaw, canonical_radians, tabulated_from_csv
 
+from oracles import finite_slopes
+
 CLASSICAL = CorrelationLaw.classical()
 QUANTUM = CorrelationLaw.quantum()
 SUPERQUANTUM = CorrelationLaw.superquantum()
@@ -120,7 +122,36 @@ TABLE_LAWS = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=math.pi),
               st.floats(min_value=-1.0, max_value=1.0)),
     min_size=1, max_size=12, unique_by=lambda knot: knot[0],
-).map(lambda knots: CorrelationLaw.tabulated(sorted(knots)))
+).map(sorted).filter(finite_slopes).map(CorrelationLaw.tabulated)
+
+#: knot spacings down to the smallest subnormal, where a slope can overflow
+SPACINGS = st.one_of(st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308]),
+                     st.floats(min_value=5e-324, max_value=1e-300),
+                     st.floats(min_value=1e-3, max_value=1.0))
+EDGE_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.0, 1.0, math.nextafter(1.0, 0.0), -5e-324]),
+    st.floats(min_value=-1.0, max_value=1.0))
+
+
+@st.composite
+def edge_tables(draw):
+    """Tables with subnormal knot spacings, -0.0 and +-1 values, and single
+    knots; where a drawn value would make a slope overflow, the knot repeats
+    its left neighbour's value or steps one ulp from it."""
+    theta = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=math.pi)))
+    knots = [(theta, draw(EDGE_VALUES))]
+    for _ in range(draw(st.integers(0, 5))):
+        theta = max(theta + draw(SPACINGS), math.nextafter(theta, 4.0))
+        if theta > math.pi:
+            break
+        e = draw(EDGE_VALUES)
+        if not finite_slopes([knots[-1], (theta, e)]):
+            e0 = knots[-1][1]
+            e = draw(st.sampled_from([e0, math.nextafter(e0, 1.0), math.nextafter(e0, -1.0)]))
+        knots.append((theta, e))
+    return CorrelationLaw.tabulated(knots)
+
+
 RAW_ANGLES = st.lists(st.one_of(st.floats(min_value=-50.0, max_value=50.0), FINITE),
                       min_size=1, max_size=40)
 
@@ -152,6 +183,26 @@ class TestArrayTwins:
         got = law.evaluate_many(np.array(thetas)).tolist()
         assert got == [law.evaluate(theta) for theta in thetas]
 
+    # e0 + (e1 - e0) * (t - t0) / (t1 - t0) gives -1.0000000083 here: its
+    # product underflows to a subnormal and keeps only a few digits
+    @example(law=CorrelationLaw.tabulated([(0.0, -0.9999999768431401), (1.56851327e-316, -1.0)]),
+             extra=[1.5685132e-316])
+    # np.interp's rounded formula gives 1 + 2**-52 one ulp before the knot at 1
+    @example(law=CorrelationLaw.tabulated([(0.0, -1.0), (0.6964859808574032, -0.8412946866338875),
+                                           (1.9552545469355174, 1.0)]),
+             extra=[])
+    @given(law=edge_tables(), extra=st.lists(st.floats(min_value=0.0, max_value=math.pi),
+                                             max_size=8))
+    def test_edge_tables_stay_in_range_and_match_their_twin_bit_for_bit(self, law, extra):
+        knots = [theta for theta, _ in law.table]
+        thetas = [0.0, math.pi, *knots, *extra]
+        thetas += [(lo + hi) / 2.0 for lo, hi in zip(knots, knots[1:])]
+        thetas += [math.nextafter(k, d) for k in knots for d in (0.0, math.pi)]
+        want = [law.evaluate(theta) for theta in thetas]
+        assert all(-1.0 <= e <= 1.0 for e in want)
+        got = law.evaluate_many(np.array(thetas)).tolist()
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
     def test_table_clamps_and_hits_knots(self):
         law = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
         got = law.evaluate_many(np.array([0.5, 1.0, 1.5, 2.0, 2.5]))
@@ -160,7 +211,7 @@ class TestArrayTwins:
         assert single.evaluate_many(np.array([0.0, 1.0, 3.0])).tolist() == [0.25] * 3
 
     def test_alternating_tables_each_use_their_own_knots(self):
-        # the knot arrays are converted once per table object, not per call
+        # each call interpolates in the knots of its own table
         rising = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
         falling = CorrelationLaw.tabulated([(1.0, 0.5), (2.0, -0.5)])
         theta = np.array([0.5, 1.25, 1.5, 2.5])
@@ -191,6 +242,11 @@ class TestTabulatedLaw:
     def test_out_of_range_correlation_rejected(self):
         with pytest.raises(ValueError):
             CorrelationLaw.tabulated([(0.0, -2.0)])
+
+    def test_slope_that_overflows_rejected(self):
+        # np.interp's formula would give inf between these knots
+        with pytest.raises(ValueError, match="^table slope from angle 0.0 to 1e-310 overflows$"):
+            CorrelationLaw.tabulated([(0.0, -1.0), (1e-310, 1.0)])
 
     def test_table_forbidden_for_named_kinds(self):
         with pytest.raises(ValueError):
@@ -248,6 +304,14 @@ class TestTabulatedCsv:
         path = self._write(tmp_path, "theta_radians,e\n0.0,-1.0\n9.0,0.0\n")
         with pytest.raises(ValueError, match="line 3"):
             tabulated_from_csv(path)
+
+    def test_slope_that_overflows_names_line(self, tmp_path):
+        # (1 - -1) / (2e-310 - 1e-310) = 2e310 is past the float range
+        path = self._write(tmp_path, "theta_radians,e\n0.0,-1.0\n1e-310,-1.0\n2e-310,1.0\n")
+        with pytest.raises(ValueError) as info:
+            tabulated_from_csv(path)
+        assert str(info.value) == (f"{path}: line 4: table slope from angle 1e-310 "
+                                   "to 2e-310 overflows")
 
     def test_empty_file_rejected(self, tmp_path):
         path = self._write(tmp_path, "")
