@@ -178,7 +178,10 @@ def write_sweep_csv(rows, out_path: str) -> None:
     the temporary file is removed."""
     from ._sweepcsv import format_blocks  # lazily: it builds numpy tables
 
-    tmp = f"{out_path}.{os.getpid()}.tmp"
+    # beside out_path, so that the rename is atomic, under a name of fixed
+    # length, one per process and target: an out_path of NAME_MAX bytes fits
+    name = f".sweep-{os.getpid()}-{hash(out_path) & 0xFFFFFFFF:08x}.tmp"
+    tmp = os.path.join(os.path.dirname(out_path), name)
     try:
         handle = open(tmp, "xb")
         try:
@@ -191,7 +194,7 @@ def write_sweep_csv(rows, out_path: str) -> None:
             os.remove(tmp)
             raise
     except OSError as exc:
-        # the message names out_path, never the pid-stamped temporary file
+        # the message names out_path, never the temporary file
         error = OSError(f"cannot write sweep to {out_path}: {exc.strerror}")
         error.errno = exc.errno
         raise error from exc

@@ -255,47 +255,40 @@ def _check_knot(theta: float, e: float, prev: tuple | None, where: str = "") -> 
 def tabulated_from_csv(path) -> CorrelationLaw:
     """Load a tabulated law from a two-column CSV ``theta_radians,e``.
 
-    The file must carry exactly that header, strictly increasing angles in
-    [0, pi], correlations in [-1, 1], and a finite slope between neighbouring
-    rows.  It is read as UTF-8, with or without a leading byte-order mark.
-    Parse errors name the offending line number, and so does a byte that is
-    not UTF-8.
+    The file must carry exactly that header, then one unquoted record per
+    line: strictly increasing angles in [0, pi], correlations in [-1, 1],
+    and a finite slope between neighbouring rows; blank and whitespace-only
+    lines are skipped.  A line ends at LF, CR or CRLF and is read as UTF-8;
+    the file may start with a byte-order mark.  Errors are raised in line
+    order and name the offending line, a byte that is not UTF-8 included.
     """
-    import csv  # lazily: only table laws read a CSV
-    import io
-
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]  # csv ends a line at each \n, \r and \r\n
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ValueError(f"{path}: line {line}: not valid UTF-8") from exc
-    knots: list[tuple[float, float]] = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
+        # bytes.splitlines ends a line at LF, CR and CRLF only, none inside UTF-8
+        lines = handle.read().removeprefix(b"\xef\xbb\xbf").splitlines()
+    if not lines:
         raise ValueError(f"{path}: line 1: empty file, expected header theta_radians,e")
-    if [h.strip() for h in header] != ["theta_radians", "e"]:
-        raise ValueError(f"{path}: line 1: expected header 'theta_radians,e'")
-    while True:
-        lineno = reader.line_num + 1  # the physical line the next record starts on
-        row = next(reader, None)
-        if row is None:
-            break
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+    knots: list[tuple[float, float]] = []
+    for lineno, line in enumerate(lines, start=1):
+        where = f"{path}: line {lineno}: "
         try:
-            theta = float(row[0])
-            e = float(row[1])
+            fields = line.decode("utf-8").split(",")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{where}not valid UTF-8") from exc
+        if lineno == 1:
+            if [field.strip() for field in fields] != ["theta_radians", "e"]:
+                raise ValueError(f"{where}expected header 'theta_radians,e'")
+            continue
+        if len(fields) == 1 and not fields[0].strip():
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"{where}expected 2 fields, got {len(fields)}")
+        try:
+            theta = float(fields[0])
+            e = float(fields[1])
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
-        _check_knot(theta, e, knots[-1] if knots else None, f"{path}: line {lineno}: ")
+            raise ValueError(f"{where}non-numeric field") from exc
+        _check_knot(theta, e, knots[-1] if knots else None, where)
         knots.append((theta, e))
     if not knots:
         raise ValueError(f"{path}: no data rows")
     return CorrelationLaw.tabulated(knots)
-

@@ -3,10 +3,13 @@
 Everything here is deliberately written from first principles, separate
 from the package under test: direct entropy formulas, the four-cell
 Shannon sum, golden-section search, the law formulas at angles reduced by
-the IEEE remainder with a compass search over them, and numpy's Kronecker
-product and eigensolver.  Tests compare package output against these routes.
+the IEEE remainder with a compass search over them, numpy's Kronecker
+product and eigensolver, and the csv module's reader of table laws.  Tests
+compare package output against these routes.
 """
 
+import csv
+import io
 import math
 
 import mpmath
@@ -162,6 +165,48 @@ def finite_slopes(knots) -> bool:
     sorted knots is finite, as a table law requires."""
     return all(math.isfinite((e1 - e0) / (t1 - t0))
                for (t0, e0), (t1, e1) in zip(knots, knots[1:]))
+
+
+def csv_table_records(path):
+    """Yield (line, theta, e) for each data record of a table law CSV, read
+    by the csv module: the whole file is decoded as UTF-8 after an optional
+    byte-order mark, and a record is numbered by the physical line it starts
+    on, where LF, CR and CRLF each end a line.  A file that is not UTF-8, a
+    bad header, a record without 2 numeric fields and a file without records
+    raise ValueError with the message table laws use; the knots themselves
+    are left to the caller, so that a bad knot is reported in line order."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{path}: line {line}: not valid UTF-8") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: line 1: empty file, expected header theta_radians,e")
+    if [h.strip() for h in header] != ["theta_radians", "e"]:
+        raise ValueError(f"{path}: line 1: expected header 'theta_radians,e'")
+    records = 0
+    while True:
+        line = reader.line_num + 1
+        row = next(reader, None)
+        if row is None:
+            break
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
+        try:
+            theta, e = float(row[0]), float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: non-numeric field") from None
+        records += 1
+        yield line, theta, e
+    if not records:
+        raise ValueError(f"{path}: no data rows")
 
 
 def relative_angle(phi: float, psi: float) -> float:

@@ -236,6 +236,18 @@ class TestSweep:
         assert "cannot write sweep" in err
         assert os.listdir(tmp_path) == ["d"]
 
+    def test_output_name_of_the_longest_length_is_written(self, capsys, tmp_path):
+        # the temporary file's name does not grow with the output's
+        longest = "s" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv"
+        written = []
+        for name in ("s.csv", longest):
+            code, _, err = run(capsys, "sweep", "--law", "quantum", "--steps", "5",
+                               "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
+        assert sorted(os.listdir(tmp_path)) == sorted(["s.csv", longest])
+
     def test_invalid_law_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--law", "bogus",
                            "--out", str(tmp_path / "x.csv"))
@@ -970,23 +982,28 @@ class TestProcessBoundary:
         )
         run_fresh(code)
 
-    def test_csv_loads_only_for_table_laws(self, tmp_path):
+    def test_no_subcommand_loads_csv(self, tmp_path):
+        # a table law is read line by line, without the csv module
         table = tmp_path / "law.csv"
         table.write_text("theta_radians,e\n0.0,-1.0\n3.0,0.75\n", encoding="utf-8")
+        law = f"table:{table}"
         code = (
             "import sys\n"
             "import corrwork.cli as cli\n"
             "assert 'csv' not in sys.modules, 'import'\n"
             "for argv in (['--version'], ['chsh', '--law', 'quantum'],\n"
-            "             ['optimize-chsh', '--law', 'quantum']):\n"
+            f"             ['chsh', '--law', {law!r}], ['optimize-chsh', '--law', {law!r}],\n"
+            f"             ['energetic-chsh', '--law', {law!r}], ['hierarchy'],\n"
+            "             ['robustness'], ['verify'],\n"
+            "             ['szilard', '--epsilon', '0.1', '--x', '0.5', '--trials', '10'],\n"
+            f"             ['sweep', '--law', {law!r}, '--steps', '3',\n"
+            f"              '--out', {str(tmp_path / 's.csv')!r}]):\n"
             "    try:\n"
             "        code = cli.main(argv)\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
             "    assert code == 0, argv\n"
             "    assert 'csv' not in sys.modules, argv\n"
-            f"assert cli.main(['chsh', '--law', {f'table:{table}'!r}]) == 0\n"
-            "assert 'csv' in sys.modules, 'table'\n"
         )
         run_fresh(code)
 

@@ -59,11 +59,27 @@ def edge_tables(seed: int) -> dict[str, str]:
     }
 
 
-#: the files every case can read: a seeded table law, a table with a knot
-#: outside [0, pi], and the four edge tables
+LAW = seeded_table(31, 40)
+
+#: law.csv with CR line ends, with CRLF line ends after a byte-order mark,
+#: and with a blank and a whitespace-only line after every line: each loads
+#: law.csv's law, so its reports print what law.csv's print
+LAW_VARIANTS = {
+    "law_cr.csv": LAW.replace("\n", "\r"),
+    "law_crlf_bom.csv": "\ufeff" + LAW.replace("\n", "\r\n"),
+    "law_blank.csv": LAW.replace("\n", "\n\n \t\n"),
+}
+
+#: the files every case can read: a seeded table law and its variants, a
+#: table with a knot outside [0, pi], one with a non-numeric field on line 5
+#: after blank lines, one with a byte that is not UTF-8 on line 4, and the
+#: four edge tables
 INPUTS = {
-    "law.csv": seeded_table(31, 40),
+    "law.csv": LAW,
+    **LAW_VARIANTS,
     "range.csv": "theta_radians,e\n0.0,-1.0\n9.0,0.0\n",
+    "nonnumeric.csv": "theta_radians,e\n0.0,-1.0\n\n  \n0.5,abc\n",
+    "badbyte.csv": b"theta_radians,e\n0.0,-1.0\n1.0,0.25\n2.0,0.\xff5\n",
     **edge_tables(32),
 }
 
@@ -73,10 +89,13 @@ def _sha256(data: bytes) -> str:
 
 
 def write_inputs(directory: Path) -> dict[str, str]:
-    """Write INPUTS into ``directory``; returns each file's sha256."""
-    for name, text in INPUTS.items():
-        (directory / name).write_text(text, encoding="utf-8")
-    return {name: _sha256(text.encode()) for name, text in INPUTS.items()}
+    """Write INPUTS into ``directory``, text as UTF-8; returns each file's sha256."""
+    digests = {}
+    for name, content in INPUTS.items():
+        data = content if isinstance(content, bytes) else content.encode("utf-8")
+        (directory / name).write_bytes(data)
+        digests[name] = _sha256(data)
+    return digests
 
 
 def replay(argv: list[str]) -> dict:
@@ -114,3 +133,14 @@ def test_sweeps_of_different_laws_write_different_files():
             for digest in case["files"].values():
                 laws_by_digest.setdefault(digest, set()).add(law)
     assert all(len(laws) == 1 for laws in laws_by_digest.values())
+
+
+def test_law_variants_print_what_law_csv_prints():
+    cases = {tuple(case["argv"]): case for case in json.loads(CORPUS.read_text())["cases"]}
+    variants = [argv for argv in cases
+                if any(f"table:{name}" in argv for name in LAW_VARIANTS)]
+    assert len(variants) == 2 * len(LAW_VARIANTS)
+    for argv in variants:
+        twin = tuple("table:law.csv" if arg.startswith("table:") else arg for arg in argv)
+        assert cases[argv]["exit"] == cases[twin]["exit"] == 0
+        assert cases[argv]["stdout_sha256"] == cases[twin]["stdout_sha256"]

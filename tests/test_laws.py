@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from corrwork.laws import Angle, CorrelationLaw, canonical_radians, tabulated_from_csv
 
-from oracles import finite_slopes
+from oracles import csv_table_records, finite_slopes
 
 CLASSICAL = CorrelationLaw.classical()
 QUANTUM = CorrelationLaw.quantum()
@@ -335,17 +335,35 @@ class TestTabulatedCsv:
         assert str(info.value) == f"{path}: line {line}: not valid UTF-8"
 
     @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
-    def test_errors_name_the_line_after_a_quoted_line_break(self, tmp_path, end):
-        # the quoted field spans lines 2 and 3, so the bad record is on line 4,
-        # whether it fails to parse or to decode
-        head = f'theta_radians,e{end}"0.0{end}",-1.0{end}'.encode()
+    def test_quoted_fields_are_rejected_on_their_physical_line(self, tmp_path, end):
+        # a record is one line split at commas: a quoted number is not a
+        # number, and a quoted line break ends the record's line
         path = tmp_path / "law.csv"
-        for bad, message in [(b"foo,0", "non-numeric field"),
-                             (b"\xff,0", "not valid UTF-8")]:
-            path.write_bytes(head + bad + end.encode())
+        for row, message in [('"0.5",-1.0', "non-numeric field"),
+                             (f'"0.5{end}",-1.0', "expected 2 fields, got 1")]:
+            path.write_bytes(f"theta_radians,e{end}0.0,-1.0{end}{row}{end}".encode())
             with pytest.raises(ValueError) as info:
                 tabulated_from_csv(path)
-            assert str(info.value) == f"{path}: line 4: {message}"
+            assert str(info.value) == f"{path}: line 3: {message}"
+
+    @pytest.mark.parametrize("data, message", [
+        (b"theta_radians,e\n0.0,-1.0\nfoo,0\n0.5,0.0\n\xff,0\n", "line 3: non-numeric field"),
+        (b"angle,e\n\xff,0\n", "line 1: expected header 'theta_radians,e'"),
+        (b"theta_radians,e\n1.0,-1.0\n0.5,0.0\n\xff,0\n",
+         "line 3: table angles must be strictly increasing"),
+    ], ids=["field", "header", "knot"])
+    def test_errors_are_raised_in_line_order(self, tmp_path, data, message):
+        # an error on an earlier line wins over a byte that is not UTF-8 later on
+        path = tmp_path / "law.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            tabulated_from_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_field_of_any_length_is_read(self, tmp_path):
+        # longer than the csv module's 131072-character field limit
+        path = self._write(tmp_path, "theta_radians,e\n0.0,-1.0\n" + "0" * 200000 + ".5,0.0\n")
+        assert tabulated_from_csv(path) == CorrelationLaw.tabulated([(0.0, -1.0), (0.5, 0.0)])
 
     def test_non_utf8_byte_after_bare_carriage_returns_names_its_line(self, tmp_path):
         # csv ends a line at a bare CR, as at LF and CRLF
@@ -401,3 +419,65 @@ def test_csv_loader_rejects_exactly_the_knots_the_constructor_rejects(tmp_path, 
         assert str(info.value) == f"{path}: line {bad + 2}: {exc}"
     else:
         assert tabulated_from_csv(path) == law
+
+
+#: padding around a field: whitespace that str.strip and float skip, some of
+#: which str.splitlines, but not a CSV reader, would take for a line end
+PADDING = st.text(alphabet=" \t\x0c\xa0\x85\u2028", max_size=2)
+#: fields that are not numbers, or not always: empty, words, and the forms
+#: float accepts beyond digits
+ODD_FIELDS = st.sampled_from(["", "foo", "1e", "0x1", "1_0", "nan", "-inf", "\N{MINUS SIGN}1"])
+#: headers, mostly good: hypothesis draws the first entries more often
+HEADERS = st.sampled_from(["theta_radians,e", " theta_radians\t, e "] * 4
+                          + ["theta,e", "theta_radians,e,", "theta_radians"])
+
+
+@st.composite
+def table_texts(draw):
+    """Unquoted table law CSV text: a header, then rows of mostly increasing
+    knots, each at times replaced by a row of 1-3 odd fields, with blank and
+    whitespace-only lines between them, padded fields, LF, CR and CRLF line
+    ends drawn line by line, and an optional byte-order mark."""
+    knots = draw(st.lists(st.tuples(st.floats(min_value=0.0, max_value=3.2),
+                                    st.floats(min_value=-1.0, max_value=1.05)),
+                          max_size=6).map(sorted))
+    lines = [draw(HEADERS)]
+    for knot in knots:
+        lines += draw(st.lists(PADDING, max_size=2))  # blank and whitespace-only lines
+        fields = [repr(value) for value in knot]
+        if draw(st.integers(0, 4)) == 0:
+            fields = draw(st.lists(st.one_of(ODD_FIELDS, st.just(fields[0])),
+                                   min_size=1, max_size=3))
+        lines.append(",".join(draw(PADDING) + field + draw(PADDING) for field in fields))
+    ends = [draw(st.sampled_from(["\n", "\r", "\r\n"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _reference_load(path) -> CorrelationLaw:
+    """The table law that csv_table_records reads, its knots checked in line order."""
+    knots = []
+    for line, theta, e in csv_table_records(path):
+        try:
+            CorrelationLaw.tabulated([*knots, (theta, e)])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        knots.append((theta, e))
+    return CorrelationLaw.tabulated(knots)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=table_texts())
+def test_loader_agrees_with_a_csv_module_reader(tmp_path, text):
+    path = tmp_path / "law.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(tabulated_from_csv, path) == _outcome(_reference_load, path)
