@@ -19,14 +19,27 @@ scalar draws.  The array path exploits that: it scrambles the words of
 ``state + (i + 1) * 0x9E3779B97F4A7C15`` in blocks of at most 2^16, each
 block in place in one reused buffer, so its working memory does not grow
 with n.  :meth:`RandomStream.uniform_block` turns those words into the same
-doubles as the scalar path, and :meth:`RandomStream.count_below` counts how
-many would fall below p without forming a double at all.  That count is
-exact: a uniform is u = k * 2**-53 with k = output >> 11, so
+doubles as the scalar path.
 
-    u < p  <=>  k < ceil(p * 2**53)  <=>  output < ceil(p * 2**53) * 2**11
+:meth:`RandomStream.count_below` counts how many of n trials draw a uniform
+u = j * 2**-53 below p, with j uniform on [0, 2**53).  Since p * 2**53 is
+exact in floating point,
 
-where p * 2**53 is exact in floating point and k is an integer.  For p = 1
-the limit is 2**64, beyond every word, and every draw counts.
+    u < p  <=>  j < k = ceil(p * 2**53)
+
+and j < k is decided by the first bit, from the top, where j and k differ.
+So the count draws each trial's bits only until that bit, and all tied
+trials' bits at once: at each bit of k from bit 52 down, the ``tied``
+trials whose leading bits so far equal k's read one fresh fair bit each,
+and the number of zeros among them is tied - popcount of tied fair bits
+(tied // 64 whole words and the low tied % 64 bits of one more).  Where k's
+bit is 1 the zeros fall below k and are counted, and the ones stay tied;
+where it is 0 the ones rise above k and only the zeros stay tied.  The walk
+ends when no trial is tied, or when k has no set bit left, so that the
+trials still tied are at or above k.  The count is exactly
+Binomial(n, k * 2**-53), the law of n uniforms compared with p, from about
+2n/64 words: half the tied trials leave at each bit.  For p = 1 (k = 2**53)
+every trial counts and for p = 0 none does, without a draw.
 """
 
 from __future__ import annotations
@@ -93,25 +106,46 @@ class RandomStream:
         return out
 
     def count_below(self, n: int, p: float) -> int:
-        """How many of the next n uniforms are < p, in O(1) memory.
+        """How many of n trials draw a uniform below p, from about n/32 words.
 
-        Advances the stream exactly as n next_uniform() calls would.  The
-        words are compared against the integer limit ceil(p * 2**53) * 2**11,
-        which is exact (see the module docstring).
+        The count is exactly Binomial(n, k * 2**-53) with k = ceil(p * 2**53),
+        the law of comparing n 53-bit uniforms with p: see the module
+        docstring for the bisection.  It draws about n/32 words, plus at most
+        one partial word per bit of k, and advances the stream by the words
+        drawn; p = 0 and p = 1 draw nothing.  Memory is flat in n.
         """
         if n < 0:
             raise ValueError(f"count must be >= 0, got {n}")
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"threshold {p!r} outside [0, 1]")
-        limit = math.ceil(p * 2.0**53) << 11
-        if limit > _MASK64:
-            self._state = (self._state + n * _GAMMA) & _MASK64
+        k = math.ceil(p * 2.0**53)
+        if k == 1 << 53:
             return n
-        import numpy as np
+        count, tied, bit = 0, n, 1 << 53
+        while tied and k:
+            bit >>= 1
+            zeros = tied - self._ones(tied)
+            if k & bit:
+                k ^= bit
+                count += zeros
+                tied -= zeros
+            else:
+                tied = zeros
+        return count
 
-        limit = np.uint64(limit)
-        return sum(int(np.count_nonzero(words < limit))
-                   for words in self._word_blocks(n))
+    def _ones(self, m: int) -> int:
+        """Set bits among the next m fair bits: the m // 64 next whole words,
+        then the low m % 64 bits of one more word."""
+        whole, rest = divmod(m, 64)
+        ones = 0
+        if whole:
+            import numpy as np
+
+            for words in self._word_blocks(whole):
+                ones += int(np.bitwise_count(words, out=words).sum())
+        if rest:
+            ones += (self.next_uint64() & ((1 << rest) - 1)).bit_count()
+        return ones
 
     def _word_blocks(self, n: int) -> Iterator[np.ndarray]:
         """The next n words, in blocks of at most _BLOCK, advancing the stream.

@@ -26,10 +26,10 @@ optimum like any other and returns ln 2 with zero standard error.
 
 simulate() runs the cycle as a Monte Carlo over bit correctness with the
 repo's counter-based stream, so results are reproducible from the seed
-alone.  Only the number of correct trials matters, and the stream counts
-it on raw words against an exact integer threshold
-(:meth:`RandomStream.count_below`), so memory stays flat in the number of
-trials and time is linear in it.
+alone.  Only the number of correct trials matters, and the stream draws it
+as one Binomial(n, q) count, q being 1 - eps rounded up to a multiple of
+2**-53 (:meth:`RandomStream.count_below`), from about n/32 words: memory
+stays flat in the number of trials and time is linear in it.
 """
 
 from __future__ import annotations
@@ -137,11 +137,12 @@ def optimal_partition(epsilon: float) -> PartitionOptimum:
 def simulate(config: EngineConfig) -> CycleResult:
     """Monte Carlo over memory-bit correctness.
 
-    Trial i draws the i-th uniform of the seed's stream; the bit is correct
-    when it falls below 1 - eps, and the trial contributes the matching
-    branch work.  The count of correct trials is exactly that of n
-    next_uniform() draws compared with 1 - eps in floating point, so at the
-    boundary x = 1 every trial is correct and ln(0) is never taken.
+    Each trial's bit is correct when a 53-bit uniform falls below 1 - eps,
+    and the trial contributes the matching branch work.  The seed's stream
+    draws the count of correct trials as RandomStream.count_below(n, 1 - eps):
+    Binomial(n, ceil((1 - eps) * 2**53) * 2**-53), the law of n uniforms
+    compared with 1 - eps in floating point.  When 1 - eps rounds to 1 every
+    trial is correct, so at the boundary x = 1 ln(0) is never taken.
     """
     eps = config.error_prob
     x = config.partition_fraction

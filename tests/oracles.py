@@ -4,16 +4,20 @@ Everything here is deliberately written from first principles, separate
 from the package under test: direct entropy formulas, the four-cell
 Shannon sum, golden-section search, the law formulas at angles reduced by
 the IEEE remainder with a compass search over them, numpy's Kronecker
-product and eigensolver, and the csv module's reader of table laws.  Tests
-compare package output against these routes.
+product and eigensolver, the csv module's reader of table laws, and
+RandomStream.count_below's bisection on the stream's scalar words with
+int.bit_count.  Tests compare package output against these routes.
 """
 
 import csv
 import io
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from corrwork.rng import RandomStream
 
 
 def h2_direct(p: float) -> float:
@@ -87,6 +91,36 @@ def binomial_tail_mp(n: int, p, k: int, upper: bool):
                 j -= 1
             total += term
         return total
+
+
+def count_below_reference(seed: int, n: int, p: float):
+    """RandomStream.count_below's bisection on scalar words, bit by bit of
+    k = ceil(p * 2**53) taken in exact rational arithmetic.
+
+    At each bit of k from bit 52 down, the tied trials read one fair bit
+    each: tied // 64 words of RandomStream(seed).next_uint64(), then the low
+    tied % 64 bits of one more, counted with int.bit_count.  A 1 bit of k
+    counts the tied zeros and keeps the ones tied; a 0 bit keeps the zeros.
+    The walk stops when nothing is tied or k has no set bit at or below the
+    current one.  Returns the count and the stream after the last draw.
+    """
+    stream = RandomStream(seed)
+    k = math.ceil(Fraction(p) * 2**53)
+    if k == 2**53:
+        return n, stream
+    count, tied = 0, n
+    for level in range(52, -1, -1):
+        if tied == 0 or k % 2 ** (level + 1) == 0:
+            break
+        ones = sum(stream.next_uint64().bit_count() for _ in range(tied // 64))
+        if tied % 64:
+            ones += (stream.next_uint64() % 2 ** (tied % 64)).bit_count()
+        zeros = tied - ones
+        if k >> level & 1:
+            count, tied = count + zeros, ones
+        else:
+            tied = zeros
+    return count, stream
 
 
 def law_probability(name: str, theta: float) -> float:

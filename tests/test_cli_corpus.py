@@ -3,7 +3,8 @@ stdout and stderr, byte for byte, and writes the same files.
 
 The cases run in process through cli.main, in one working directory that
 holds the input files below, so that a relative path in argv resolves there
-and no output names a temporary directory.  A case's "files" maps each file
+and no output names a temporary directory.  A few also run as fresh
+``python -m corrwork.cli`` children, through cli.run and its exit path.  A case's "files" maps each file
 it leaves behind to its sha256; the file is removed after the case.
 
 The digests detect a change; they are not an oracle.  A change that moves
@@ -20,6 +21,8 @@ import random
 from pathlib import Path
 
 from corrwork import cli
+
+from test_cli import run_module_child
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 
@@ -122,6 +125,27 @@ def test_every_case_replays_its_exit_code_and_stdout(monkeypatch, tmp_path):
     changed = [" ".join(case["argv"]) for case in corpus["cases"]
                if replay(case["argv"]) != case]
     assert not changed
+
+
+#: cases replayed as fresh children: a Monte Carlo, a verify, a law error
+#: (exit 2) and a sweep of a table law that writes a file
+CHILD_CASES = [
+    ["szilard", "--epsilon", "0.2", "--x", "0.7", "--trials", "100000", "--seed", "7"],
+    ["verify", "--seed", "1"],
+    ["chsh", "--law", "bogus"],
+    ["sweep", "--law", "table:law.csv", "--steps", "4097", "--out", "out.csv"],
+]
+
+
+def test_fresh_children_replay_their_exit_code_and_stdout(tmp_path):
+    cases = {tuple(case["argv"]): case for case in json.loads(CORPUS.read_text())["cases"]}
+    write_inputs(tmp_path)
+    for argv in CHILD_CASES:
+        case = cases[tuple(argv)]
+        code, out, _ = run_module_child(argv, tmp_path)
+        assert (code, _sha256(out.encode())) == (case["exit"], case["stdout_sha256"]), argv
+        for name, digest in case.get("files", {}).items():
+            assert _sha256((tmp_path / name).read_bytes()) == digest, (argv, name)
 
 
 def test_sweeps_of_different_laws_write_different_files():

@@ -16,7 +16,12 @@ from corrwork.szilard import (
     simulate,
 )
 
-from oracles import bit_information_mp, golden_section_max, h2_direct
+from oracles import (
+    bit_information_mp,
+    count_below_reference,
+    golden_section_max,
+    h2_direct,
+)
 
 
 class TestExpectedWork:
@@ -199,21 +204,22 @@ class TestSimulate:
         w_w = math.log(0.5)
         n = result.n
         k = round((result.mean_work_kT * n - n * w_w) / (w_c - w_w))
-        assert result.correct == k == RandomStream(5).count_below(n, 0.75)
+        assert result.correct == k == count_below_reference(5, n, 0.75)[0]
         mean = (k * w_c + (n - k) * w_w) / n
         ss = k * (w_c - mean) ** 2 + (n - k) * (w_w - mean) ** 2
         expected_se = math.sqrt(ss / (n - 1)) / math.sqrt(n)
         assert result.std_error == pytest.approx(expected_se, rel=1e-12)
 
     @pytest.mark.parametrize("eps, x, n, seed, mean, std_error", [
-        (0.25, 0.75, 10**6, 7, 0.13055715789016595, 0.00047586037627868344),
-        (0.1, 0.9, 2**20 + 1, 13, 0.3679294707206038, 0.0006438935386304189),
-        (0.5, 0.6, 3 * 2**16 + 5, 2**64 - 1, -0.020100628674274736,
-         0.0004572123704726094),
+        (0.25, 0.75, 10**6, 7, 0.13041763412950508, 0.00047594080352254353),
+        (0.1, 0.9, 2**20 + 1, 13, 0.36819978179024987, 0.0006435415706050674),
+        (0.5, 0.6, 3 * 2**16 + 5, 2**64 - 1, -0.021100819798119348,
+         0.00045721025948788696),
     ])
     def test_golden_values(self, eps, x, n, seed, mean, std_error):
-        # pinned from an earlier release that compared float uniforms, so a
-        # kernel that reorders or drops draws fails here, not just on reruns
+        # pinned from count_below_reference's count of correct trials and the
+        # mean and standard error of its two branches, so a kernel that
+        # reorders or drops draws fails here, not just on reruns
         result = simulate(EngineConfig(error_prob=eps, partition_fraction=x,
                                        trials=n, seed=seed))
         assert (result.mean_work_kT, result.std_error) == (mean, std_error)
@@ -230,7 +236,8 @@ class TestSimulate:
                 tracemalloc.stop()
 
         peak(10)  # numpy is imported outside the measured runs
-        small, large = peak(10**5), peak(10**7)
+        # from 64 * 2**16 trials on, the first bit's words fill whole blocks
+        small, large = peak(10**7), peak(10**9)
         assert large < 2 * 2**20
         assert large <= small + 4096, (small, large)
 
