@@ -18,8 +18,8 @@ Conventions:
     branch only on its own rows; each block is formatted by _sweepcsv, a
     numpy kernel whose bytes are exactly those of "%.10g"; numpy is loaded
     only by sweep, szilard and verify
-  - a process enters at run(), which freezes the heap before exit, so the
-    interpreter's exit-time collections do not walk it
+  - main returns every exit code, argparse's too; run(), the process entry,
+    exits with it after freezing the heap, out of exit-time collections' reach
 
 Output depends only on the arguments (plus --seed where sampling is
 involved), so identical invocations produce byte-identical reports.
@@ -642,15 +642,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code, argparse's (0 or 2) included."""
     if "numpy" not in sys.modules:
         # corrwork's one LAPACK call, verify's eigvalsh of 4x4 operators, is far
         # below any size that threads, so numpy's OpenBLAS thread pool only
         # costs start-up time; a value the caller set wins
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's --version (0) and usage errors (2)
+        return exc.code
     except UsageError as exc:
         sys.stderr.write(f"corrwork: error: {exc}\n")
         return EXIT_USAGE
@@ -665,12 +667,12 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """Process entry point: the ``corrwork`` script and ``python -m corrwork.cli``.
 
-    Exits with main's code.  At exit the interpreter runs full garbage
-    collections over every live object, numpy's included; freezing the heap
-    first moves them all out of those collections' reach, at O(1) cost.
-    Exit still runs atexit handlers, flushes the std streams and tears down
-    modules.  main itself never freezes, because tests and library callers
-    run it in process.
+    Exits with main's code: run is the one caller of sys.exit.  At exit the
+    interpreter runs full garbage collections over every live object, numpy's
+    included; freezing the heap first moves them all out of those
+    collections' reach, at O(1) cost.  Exit still runs atexit handlers,
+    flushes the std streams and tears down modules.  main itself neither
+    exits nor freezes, because tests and library callers run it in process.
     """
     try:
         sys.exit(main())

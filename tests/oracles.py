@@ -56,6 +56,14 @@ def quantum_information_mp(theta: float) -> float:
         return float(((1 + x) * mpmath.log1p(x) + (1 - x) * mpmath.log1p(-x)) / 2)
 
 
+def h2_mp(eps: float) -> float:
+    """h2(eps) in nats in mpmath, at the float eps in (0, 1) taken exactly,
+    rounded to a float."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(eps)
+        return float(-x * mpmath.log(x) - (1 - x) * mpmath.log1p(-x))
+
+
 def bit_information_mp(eps: float) -> float:
     """ln 2 - h2(eps) in mpmath for eps in [0, 1/2], rounded to a float.
 

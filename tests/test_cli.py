@@ -393,10 +393,9 @@ class TestChshCommands:
         ("robustness",),
     ], ids=lambda c: c[0])
     def test_seed_only_where_sampling_happens(self, capsys, command):
-        with pytest.raises(SystemExit) as info:
-            cli.main([*command, "--seed", "1"])
-        assert info.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        code, out, err = run(capsys, *command, "--seed", "1")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_robustness_report(self, capsys):
         report = run_json(capsys, "robustness")
@@ -890,10 +889,13 @@ def run_fresh(code):
 
 
 def run_module_child(argv, cwd):
-    """(exit code, stdout, stderr) of a fresh ``python -m corrwork.cli`` child."""
+    """(exit code, stdout, stderr) of a fresh ``python -m corrwork.cli`` child.
+
+    argparse wraps its usage lines at $COLUMNS, so the child runs at 80; an
+    in-process run compared with it sets the same."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.Popen([sys.executable, "-m", "corrwork.cli", *argv], cwd=cwd,
-                            env=dict(os.environ, PYTHONPATH=src), text=True,
+                            env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
     return proc.returncode, out, err
@@ -949,11 +951,7 @@ class TestProcessBoundary:
             "assert not [m for m in heavy if m in sys.modules], 'import'\n"
             "for argv in (['--version'], ['chsh', '--law', 'quantum'],\n"
             "             ['optimize-chsh', '--law', 'quantum']):\n"
-            "    try:\n"
-            "        code = cli.main(argv)\n"
-            "    except SystemExit as exc:\n"
-            "        code = exc.code\n"
-            "    assert code == 0, argv\n"
+            "    assert cli.main(argv) == 0, argv\n"
             "    loaded = [m for m in heavy if m in sys.modules]\n"
             "    assert not loaded, (argv, loaded)\n"
         )
@@ -970,11 +968,7 @@ class TestProcessBoundary:
             "             ['energetic-chsh', '--law', 'classical'], ['hierarchy'],\n"
             "             ['robustness'],\n"
             "             ['szilard', '--epsilon', '0.1', '--x', '0.5', '--trials', '10']):\n"
-            "    try:\n"
-            "        code = cli.main(argv)\n"
-            "    except SystemExit as exc:\n"
-            "        code = exc.code\n"
-            "    assert code == 0, argv\n"
+            "    assert cli.main(argv) == 0, argv\n"
             "    assert kernel not in sys.modules, argv\n"
             f"out = {str(tmp_path / 's.csv')!r}\n"
             "assert cli.main(['sweep', '--law', 'quantum', '--steps', '3', '--out', out]) == 0\n"
@@ -998,11 +992,7 @@ class TestProcessBoundary:
             "             ['szilard', '--epsilon', '0.1', '--x', '0.5', '--trials', '10'],\n"
             f"             ['sweep', '--law', {law!r}, '--steps', '3',\n"
             f"              '--out', {str(tmp_path / 's.csv')!r}]):\n"
-            "    try:\n"
-            "        code = cli.main(argv)\n"
-            "    except SystemExit as exc:\n"
-            "        code = exc.code\n"
-            "    assert code == 0, argv\n"
+            "    assert cli.main(argv) == 0, argv\n"
             "    assert 'csv' not in sys.modules, argv\n"
         )
         run_fresh(code)
@@ -1010,8 +1000,7 @@ class TestProcessBoundary:
     def test_main_leaves_the_collector_alone(self, capsys):
         state = gc.isenabled(), gc.get_freeze_count()
         run_json(capsys, "chsh", "--law", "quantum")
-        with pytest.raises(SystemExit):
-            cli.main(["--version"])
+        assert run(capsys, "--version")[0] == cli.EXIT_OK
         assert (gc.isenabled(), gc.get_freeze_count()) == state
 
     @pytest.mark.parametrize("argv, expected", [
@@ -1037,6 +1026,7 @@ class TestProcessBoundary:
         capsys.readouterr()
 
     def test_module_children_match_in_process_main(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
         chsh = ["chsh", "--law", "quantum"]
         child = run_module_child(chsh, tmp_path)
         assert child == run(capsys, *chsh)
@@ -1057,6 +1047,16 @@ class TestProcessBoundary:
             child = run_module_child(argv, tmp_path)
             assert child == run(capsys, *argv)
             assert child[0] == expected and child[1] == "" and child[2]
+
+        # argparse's own exits, which main returns as the child exits with them
+        assert run_module_child(["--version"], tmp_path) == run(capsys, "--version") == (
+            cli.EXIT_OK, f"corrwork {cli.__version__}\n", "")
+        for argv in ([], ["chsh"], ["chsh", "--law", "quantum", "--seed", "1"],
+                     ["sweep", "--law", "quantum", "--steps", "many", "--out", "s.csv"]):
+            child = run_module_child(argv, tmp_path)
+            assert child == run(capsys, *argv)
+            assert child[0] == cli.EXIT_USAGE and child[1] == ""
+            assert child[2].startswith("usage: corrwork") and "error: " in child[2]
 
     @pytest.mark.parametrize("target, code", [
         (os.path.join("missing", "s.csv"), errno.ENOENT),
@@ -1085,9 +1085,8 @@ class TestProcessBoundary:
             warnings.filterwarnings("ignore", message=r".*\[tool\.setuptools\].*beta")
             config = pyprojecttoml.read_configuration(pyproject, expand=True)
         assert "version" in config["project"].get("dynamic", ())  # read from _version
-        with pytest.raises(SystemExit):
-            cli.main(["--version"])
-        assert capsys.readouterr().out == f"corrwork {config['project']['version']}\n"
+        code, out, _ = run(capsys, "--version")
+        assert (code, out) == (cli.EXIT_OK, f"corrwork {config['project']['version']}\n")
 
     def test_console_script_enters_at_run(self):
         tomllib = pytest.importorskip("tomllib")
@@ -1270,10 +1269,7 @@ def _run_in_fresh_dir(argv):
         os.mkdir(os.path.join(work, "adir"))
         before = set(os.listdir(work))
         argv = [a.replace("{dir}", work) for a in argv]
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = cli.main(argv)
         return code, sorted(set(os.listdir(work)) - before)
 
 

@@ -4,8 +4,10 @@ stdout and stderr, byte for byte, and writes the same files.
 The cases run in process through cli.main, in one working directory that
 holds the input files below, so that a relative path in argv resolves there
 and no output names a temporary directory.  A few also run as fresh
-``python -m corrwork.cli`` children, through cli.run and its exit path.  A case's "files" maps each file
-it leaves behind to its sha256; the file is removed after the case.
+``python -m corrwork.cli`` children, through cli.run and its exit path.
+Both run with COLUMNS=80, the width at which argparse wraps the usage line
+of a rejected command line.  A case's "files" maps each file it leaves
+behind to its sha256; the file is removed after the case.
 
 The digests detect a change; they are not an oracle.  A change that moves
 one lists the case and its reason in CHANGES.md.
@@ -122,17 +124,20 @@ def test_every_case_replays_its_exit_code_and_stdout(monkeypatch, tmp_path):
     corpus = json.loads(CORPUS.read_text())
     assert write_inputs(tmp_path) == corpus["inputs"]
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     changed = [" ".join(case["argv"]) for case in corpus["cases"]
                if replay(case["argv"]) != case]
     assert not changed
 
 
 #: cases replayed as fresh children: a Monte Carlo, a verify, a law error
-#: (exit 2) and a sweep of a table law that writes a file
+#: (exit 2), a command line that argparse rejects (exit 2) and a sweep of a
+#: table law that writes a file
 CHILD_CASES = [
     ["szilard", "--epsilon", "0.2", "--x", "0.7", "--trials", "100000", "--seed", "7"],
     ["verify", "--seed", "1"],
     ["chsh", "--law", "bogus"],
+    ["sweep", "--law", "quantum", "--steps", "many", "--out", "s.csv"],
     ["sweep", "--law", "table:law.csv", "--steps", "4097", "--out", "out.csv"],
 ]
 
@@ -142,8 +147,9 @@ def test_fresh_children_replay_their_exit_code_and_stdout(tmp_path):
     write_inputs(tmp_path)
     for argv in CHILD_CASES:
         case = cases[tuple(argv)]
-        code, out, _ = run_module_child(argv, tmp_path)
-        assert (code, _sha256(out.encode())) == (case["exit"], case["stdout_sha256"]), argv
+        code, out, err = run_module_child(argv, tmp_path)
+        assert (code, _sha256(out.encode()), _sha256(err.encode())) == (
+            case["exit"], case["stdout_sha256"], case["stderr_sha256"]), argv
         for name, digest in case.get("files", {}).items():
             assert _sha256((tmp_path / name).read_bytes()) == digest, (argv, name)
 

@@ -1,23 +1,32 @@
 """Energetic CHSH hierarchy and misalignment exponents."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from corrwork import energetics
 from corrwork.energetics import (
+    DECAY_POINTS,
+    DECAY_WINDOW,
     DecayFit,
     energetic_chsh,
     fit_decay_exponent,
     hierarchy_report,
 )
-from corrwork.information import LN2, mutual_information_law
+from corrwork.information import LN2, mutual_information, mutual_information_law
 from corrwork.laws import Angle, CorrelationLaw
 from corrwork.nonlocality import ChshSettings
 
-from oracles import SW_CLASSICAL, SW_QUANTUM, SW_SUPERQUANTUM, h2_direct
+from oracles import SW_CLASSICAL, SW_QUANTUM, SW_SUPERQUANTUM, h2_direct, h2_mp
 
 STANDARD = ChshSettings.standard()
+
+#: fit_decay_exponent's misalignments: DECAY_POINTS geometric steps over DECAY_WINDOW
+_LO, _HI = DECAY_WINDOW
+MISALIGNMENTS = [_LO * ((_HI / _LO) ** (1.0 / (DECAY_POINTS - 1))) ** k
+                 for k in range(DECAY_POINTS)]
 
 
 class TestEnergeticChsh:
@@ -112,6 +121,14 @@ class TestDecayFit:
         assert at_zero is not None and at_pi is not None
         assert at_pi.exponent == pytest.approx(at_zero.exponent, abs=1e-9)
 
+    def test_r_squared_is_the_squared_correlation_of_the_logs(self):
+        rng = random.Random(35)
+        ys = [0.5 * x * x * math.exp(rng.gauss(0.0, 0.2)) for x in MISALIGNMENTS]
+        _, _, r2 = energetics._loglog_fit(MISALIGNMENTS, ys)
+        pearson = np.corrcoef(np.log(MISALIGNMENTS), np.log(ys))[0, 1]
+        assert r2 == pytest.approx(pearson**2, rel=0.0, abs=1e-12)
+        assert r2 < 1.0
+
     def test_poor_fit_is_reported_not_raised(self, monkeypatch):
         # the fit reports r^2; verify's r2_deficit checks judge it
         monkeypatch.setattr(energetics, "_loglog_fit", lambda xs, ys: (1.0, 0.0, 0.5))
@@ -126,3 +143,28 @@ class TestDecayFit:
         law = CorrelationLaw.tabulated([(0.0, -1.0), (math.pi, 1.0)])
         with pytest.raises(ValueError):
             fit_decay_exponent(law, 0.0)
+
+
+class TestWorkDeficit:
+    """The paper's robustness claim on the work itself: misaligned by theta from
+    perfect correlation, a law's work falls short of ln 2 by h2(eps), where eps
+    is the bit error, theta/pi for the classical law and sin^2(theta/2) for the
+    quantum one; so the deficit over ln(1/eps) decays as theta and theta^2."""
+
+    @pytest.mark.parametrize("law, error, exponent", [
+        (CorrelationLaw.classical(), lambda t: t / math.pi, 1.0),
+        (CorrelationLaw.quantum(), lambda t: math.sin(t / 2.0) ** 2, 2.0),
+    ], ids=["classical", "quantum"])
+    def test_deficit_is_the_entropy_of_the_bit_error(self, law, error, exponent):
+        deficits = [LN2 - mutual_information(law.evaluate(t)) for t in MISALIGNMENTS]
+        eps = [error(t) for t in MISALIGNMENTS]
+        for d, e in zip(deficits, eps):
+            assert d == pytest.approx(h2_mp(e), rel=1e-10, abs=0.0)
+        slope, _, _ = energetics._loglog_fit(
+            MISALIGNMENTS, [d / -math.log(e) for d, e in zip(deficits, eps)])
+        assert slope == pytest.approx(exponent, abs=0.05)
+
+    def test_superquantum_work_has_no_deficit(self):
+        law = CorrelationLaw.superquantum()
+        assert [LN2 - mutual_information(law.evaluate(t)) for t in MISALIGNMENTS] == [
+            0.0] * DECAY_POINTS
