@@ -21,7 +21,7 @@ from .information import (
     mutual_information_many,
 )
 from .jacobi import spectral_norm
-from .laws import Angle, CorrelationLaw, LawKind, tabulated_from_csv
+from .laws import Angle, CorrelationLaw, tabulated_from_csv
 from .nonlocality import (
     TSIRELSON_BOUND,
     ChshSettings,
@@ -48,7 +48,6 @@ __all__ = [
     "DecayFit",
     "EngineConfig",
     "LN2",
-    "LawKind",
     "PartitionOptimum",
     "RandomStream",
     "TSIRELSON_BOUND",

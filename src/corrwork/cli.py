@@ -1,9 +1,9 @@
 """Command-line front end: sweeps, CHSH reports, engine runs, verification.
 
 Subcommands: sweep, chsh, optimize-chsh, energetic-chsh, hierarchy,
-robustness, szilard, verify.  Law names are classical, quantum,
-superquantum, or table:<path> for a CSV-backed tabulated law; the one
-parser of them is CorrelationLaw.from_name.
+robustness, szilard, verify.  Law names are those of laws.NAMED_LAWS, or
+table:<path> for a CSV-backed tabulated law; the one parser of them is
+CorrelationLaw.from_name.
 
 Conventions:
   - scalar reports are JSON on stdout, sweeps are CSV files
@@ -28,6 +28,8 @@ involved), so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import gc
 import json
@@ -47,7 +49,7 @@ from .information import (
     mutual_information_law,
     mutual_information_many,
 )
-from .laws import Angle, CorrelationLaw
+from .laws import NAMED_LAWS, Angle, CorrelationLaw
 from .nonlocality import (
     TSIRELSON_BOUND,
     ChshSettings,
@@ -104,9 +106,28 @@ def _round_floats(obj):
     return obj
 
 
+def _write(stream, text: str) -> None:
+    """Write ``text`` to a std stream now; a closed stream (None) is EBADF."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError):
+            stream.close()  # so that exit does not flush the failed bytes again
+        raise
+
+
+def _warn(text: str) -> None:
+    """Write ``text`` to stderr, or drop it where stderr is closed or fails."""
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, text)
+
+
 def _emit_json(obj) -> None:
     text = json.dumps(_round_floats(obj), indent=2, sort_keys=True, allow_nan=False)
-    sys.stdout.write(text + "\n")
+    _write(sys.stdout, text + "\n")
 
 
 def _parse_law(name: str) -> CorrelationLaw:
@@ -204,7 +225,7 @@ def _cmd_sweep(args) -> int:
     law = _parse_law(args.law)
     rows = build_sweep(law, args.theta_min, args.theta_max, args.steps)
     write_sweep_csv(rows, args.out)
-    sys.stdout.write(f"wrote {args.steps} rows to {args.out}\n")
+    _write(sys.stdout, f"wrote {args.steps} rows to {args.out}\n")
     return EXIT_OK
 
 
@@ -275,10 +296,9 @@ def _cmd_hierarchy(args) -> int:
 
 def _robustness_report(anchor: float) -> dict:
     """Each named law's misalignment decay fit at ``anchor``, or "flat"."""
-    fits = {name: fit_decay_exponent(CorrelationLaw.from_name(name), anchor)
-            for name in ("classical", "quantum", "superquantum")}
+    fits = (fit_decay_exponent(CorrelationLaw(name), anchor) for name in NAMED_LAWS)
     return {name: "flat" if fit is None else fit._asdict()
-            for name, fit in fits.items()}
+            for name, fit in zip(NAMED_LAWS, fits)}
 
 
 def _cmd_robustness(args) -> int:
@@ -367,19 +387,17 @@ def random_settings(stream: RandomStream, n: int) -> Iterator[ChshSettings]:
 def _verify_chsh(stream, check) -> dict:
     """The CHSH triple at the standard angles."""
     standard = ChshSettings.standard()
-    s_c = chsh_value(CorrelationLaw.classical(), standard)
-    s_q = chsh_value(CorrelationLaw.quantum(), standard)
-    s_s = chsh_value(CorrelationLaw.superquantum(), standard)
-    check("classical", s_c, 2.0, 1e-12)
-    check("quantum", s_q, TSIRELSON_BOUND, 1e-12)
-    check("superquantum", s_s, 4.0, 0.0)
-    return {"classical": s_c, "quantum": s_q, "superquantum": s_s}
+    s = {name: chsh_value(CorrelationLaw(name), standard) for name in NAMED_LAWS}
+    check("classical", s["classical"], 2.0, 1e-12)
+    check("quantum", s["quantum"], TSIRELSON_BOUND, 1e-12)
+    check("superquantum", s["superquantum"], 4.0, 0.0)
+    return s
 
 
 def _verify_lhv(stream, check) -> dict:
     """Local realism: the 16 deterministic strategies reach exactly 2, and the
     linear law, which is Bell's local model, never exceeds that ceiling."""
-    classical = CorrelationLaw.classical()
+    classical = CorrelationLaw("classical")
     worst = 0.0
     max_classical = 0.0
     for settings in random_settings(stream, 100):
@@ -423,9 +441,7 @@ def _verify_information(stream, check) -> dict:
     """Each law's I(theta) against the paper's closed form ln 2 - h2(p(theta))."""
     import numpy as np
 
-    classical = CorrelationLaw.classical()
-    quantum = CorrelationLaw.quantum()
-    superquantum = CorrelationLaw.superquantum()
+    classical, quantum, superquantum = map(CorrelationLaw, NAMED_LAWS)
     grid_n = 10_000
     theta = math.pi * np.arange(grid_n) / (grid_n - 1)
 
@@ -456,15 +472,15 @@ def _verify_information(stream, check) -> dict:
 
 def _verify_energetic_chsh(stream, check) -> dict:
     """Energetic CHSH values at the standard angles, and their hierarchy."""
-    w_c, w_q, w_s = hierarchy_report(ChshSettings.standard())
+    report = dict(zip(NAMED_LAWS, hierarchy_report(ChshSettings.standard())))
+    w_c, w_q, w_s = report.values()
     check("classical", w_c, 2.0 * (LN2 - binary_entropy(0.25)), 1e-9)
     check("quantum", w_q,
           2.0 * (LN2 - binary_entropy(math.sin(math.pi / 8.0) ** 2)), 1e-9)
     check("superquantum", w_s, 2.0 * LN2, 1e-9)
-    hierarchy = "strict" if w_c < w_q < w_s else "non-strict"
-    check("hierarchy", hierarchy, "strict")
-    return {"classical": w_c, "quantum": w_q, "superquantum": w_s,
-            "hierarchy": hierarchy}
+    report["hierarchy"] = "strict" if w_c < w_q < w_s else "non-strict"
+    check("hierarchy", report["hierarchy"], "strict")
+    return report
 
 
 def _verify_szilard(stream, check) -> dict:
@@ -557,7 +573,7 @@ def _cmd_verify(args) -> int:
     _emit_json(report)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
-        sys.stderr.write("failed checks: " + ", ".join(failing) + "\n")
+        _warn("failed checks: " + ", ".join(failing) + "\n")
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -576,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_law(p):
         p.add_argument("--law", required=True,
-                       help="classical | quantum | superquantum | table:<path>")
+                       help=" | ".join((*NAMED_LAWS, "table:<path>")))
 
     def add_angles(p):
         p.add_argument("--angles", default=None,
@@ -654,14 +670,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's --version (0) and usage errors (2)
         return exc.code
     except UsageError as exc:
-        sys.stderr.write(f"corrwork: error: {exc}\n")
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except OSError as exc:
-        sys.stderr.write(f"corrwork: i/o error: {exc}\n")
-        return EXIT_IO
+        code, message = EXIT_IO, f"i/o error: {exc}"
     except Exception as exc:
-        sys.stderr.write(f"corrwork: internal error: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+    _warn(f"corrwork: {message}\n")
+    return code
 
 
 def run() -> NoReturn:

@@ -33,7 +33,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .information import mutual_information_law
-from .laws import Angle, CorrelationLaw, LawKind
+from .laws import NAMED_LAWS, Angle, CorrelationLaw
 
 if TYPE_CHECKING:
     from .nonlocality import ChshSettings
@@ -55,11 +55,7 @@ def hierarchy_report(settings: ChshSettings) -> tuple[float, float, float]:
     settings can tie (all four angles equal gives 2*ln 2 for every law), so
     callers assert strictness only where it is claimed to hold.
     """
-    return (
-        energetic_chsh(CorrelationLaw.classical(), settings),
-        energetic_chsh(CorrelationLaw.quantum(), settings),
-        energetic_chsh(CorrelationLaw.superquantum(), settings),
-    )
+    return tuple(energetic_chsh(CorrelationLaw(name), settings) for name in NAMED_LAWS)
 
 
 class DecayFit(NamedTuple):
@@ -95,9 +91,8 @@ def fit_decay_exponent(law: CorrelationLaw, anchor: Angle | float) -> DecayFit |
     Returns None when the deficit is exactly 0 across the whole window (the
     step law), since there is nothing to fit.
     """
-    if law.kind is LawKind.TABULATED:
-        raise ValueError("decay fit supports the classical, quantum, and "
-                         "superquantum laws only")
+    if law.table is not None:
+        raise ValueError("decay fit takes a law of NAMED_LAWS, not a table")
     a = anchor.radians if isinstance(anchor, Angle) else float(anchor)
     if a not in (0.0, math.pi):
         raise ValueError(f"anchor must be 0 or pi, got {a!r}")

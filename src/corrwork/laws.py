@@ -7,9 +7,9 @@ angle theta between the two parties' measurement directions:
     quantum       E(theta) = -cos(theta)            (singlet cosine)
     superquantum  E(theta) = sgn(2*theta/pi - 1)    (step, sgn(0) = 0)
 
-plus a tabulated law interpolated from user-supplied (theta, E) knots.
-CorrelationLaw.from_name is the one parser of law names, the CLI's
-``table:<path>`` included.
+plus CorrelationLaw("tabulated", knots), interpolated from (theta, E) knots.
+A law is its name; CorrelationLaw.from_name is the one parser of the CLI's
+law names, those of NAMED_LAWS and ``table:<path>``.
 
 Angles are canonicalized to [0, pi] on construction: theta maps to
 r = fmod(|theta|, 2*pi), reflected to min(r, 2*pi - r).  fmod is exact, and
@@ -26,7 +26,6 @@ between two knots overflows is rejected.
 
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_right
 from itertools import chain
@@ -111,88 +110,57 @@ def canonical_radians(raw) -> np.ndarray:
     return np.minimum(r, _TWO_PI - r)
 
 
-class LawKind(enum.Enum):
-    """The supported correlation-law families; values are the CLI names."""
-
-    CLASSICAL_LINEAR = "classical"
-    QUANTUM_COSINE = "quantum"
-    SUPERQUANTUM_STEP = "superquantum"
-    TABULATED = "tabulated"
-
-
-#: the kinds as module globals, which evaluate reads several times faster
-#: than an Enum member as a class attribute
-_CLASSICAL, _QUANTUM, _SUPERQUANTUM, _TABULATED = LawKind
+#: the closed-form laws, in report order; the one other law name is "tabulated"
+NAMED_LAWS = ("classical", "quantum", "superquantum")
 
 
 class CorrelationLaw(_Frozen):
     """A total map from relative angle to a correlation value in [-1, 1].
 
-    ``table`` is only set for the tabulated kind: canonical-angle knots,
-    strictly increasing with a finite slope between neighbours, linearly
-    interpolated and clamped outside the knot range.
+    ``name`` is one of NAMED_LAWS or "tabulated", and ``table`` is only set
+    for a tabulated law: canonical-angle knots, frozen to a tuple of float
+    pairs, strictly increasing with a finite slope between neighbours,
+    linearly interpolated and clamped outside the knot range.
     """
 
-    __slots__ = ("kind", "table")
+    __slots__ = ("name", "table")
 
-    def __init__(
-        self, kind: LawKind, table: tuple[tuple[float, float], ...] | None = None
-    ) -> None:
-        if kind is _TABULATED:
+    def __init__(self, name: str, table=None) -> None:
+        if name == "tabulated":
+            table = tuple((float(t), float(e)) for t, e in table or ())
             if not table:
                 raise ValueError("tabulated law requires a non-empty table")
-            prev = None
-            for knot in table:
+            for prev, knot in zip((None, *table), table):
                 _check_knot(*knot, prev)
-                prev = knot
+        elif name not in NAMED_LAWS:
+            raise ValueError(f"law name {name!r} is neither tabulated nor in NAMED_LAWS")
         elif table is not None:
-            raise ValueError(f"{kind.value} law does not take a table")
-        _set(self, "kind", kind)
+            raise ValueError(f"{name} law does not take a table")
+        _set(self, "name", name)
         _set(self, "table", table)
 
     @classmethod
-    def classical(cls) -> "CorrelationLaw":
-        return cls(LawKind.CLASSICAL_LINEAR)
-
-    @classmethod
-    def quantum(cls) -> "CorrelationLaw":
-        return cls(LawKind.QUANTUM_COSINE)
-
-    @classmethod
-    def superquantum(cls) -> "CorrelationLaw":
-        return cls(LawKind.SUPERQUANTUM_STEP)
-
-    @classmethod
-    def tabulated(cls, knots) -> "CorrelationLaw":
-        return cls(LawKind.TABULATED, tuple((float(t), float(e)) for t, e in knots))
-
-    @classmethod
     def from_name(cls, name: str) -> "CorrelationLaw":
-        """Law for a name: classical, quantum, superquantum, or ``table:<path>``
-        (loaded by tabulated_from_csv); a bad name or table raises ValueError."""
+        """Law for a name of NAMED_LAWS or ``table:<path>`` (loaded by
+        tabulated_from_csv); a bad name or table raises ValueError."""
         if name.startswith("table:"):
             path = name[len("table:"):]
             if not path:
                 raise ValueError("table law needs a path: table:<path>")
             return tabulated_from_csv(path)
-        for kind in (_CLASSICAL, _QUANTUM, _SUPERQUANTUM):
-            if name == kind.value:
-                return cls(kind)
-        valid = "classical, quantum, superquantum, table:<path>"
-        raise ValueError(f"unknown law name {name!r}; valid names: {valid}")
-
-    @property
-    def name(self) -> str:
-        return self.kind.value
+        if name not in NAMED_LAWS:
+            raise ValueError(f"unknown law name {name!r}; valid names: "
+                             f"{', '.join(NAMED_LAWS)}, table:<path>")
+        return cls(name)
 
     def evaluate(self, theta: Angle | float) -> float:
         t = (theta if isinstance(theta, Angle) else Angle(theta)).radians
-        kind = self.kind
-        if kind is _CLASSICAL:
+        name = self.name
+        if name == "classical":
             return -1.0 + 2.0 * t / math.pi
-        if kind is _QUANTUM:
+        if name == "quantum":
             return -math.cos(t)
-        if kind is _SUPERQUANTUM:
+        if name == "superquantum":
             arg = 2.0 * t / math.pi - 1.0
             if arg > 0.0:
                 return 1.0
@@ -209,19 +177,17 @@ class CorrelationLaw(_Frozen):
         import numpy as np
 
         t = canonical_radians(theta)
-        kind = self.kind
-        if kind is _CLASSICAL:
+        if self.name == "classical":
             return -1.0 + 2.0 * t / math.pi
-        if kind is _QUANTUM:
+        if self.name == "quantum":
             return -np.cos(t)
-        if kind is _SUPERQUANTUM:
+        if self.name == "superquantum":
             return np.sign(2.0 * t / math.pi - 1.0)
         pairs = np.fromiter(chain.from_iterable(self.table), float, 2 * len(self.table))
         return np.clip(np.interp(t, pairs[0::2], pairs[1::2]), -1.0, 1.0)
 
     def _interpolate(self, t: float) -> float:
         table = self.table
-        assert table is not None
         if t <= table[0][0]:
             return table[0][1]
         if t >= table[-1][0]:
@@ -291,4 +257,4 @@ def tabulated_from_csv(path) -> CorrelationLaw:
         knots.append((theta, e))
     if not knots:
         raise ValueError(f"{path}: no data rows")
-    return CorrelationLaw.tabulated(knots)
+    return CorrelationLaw("tabulated", knots)

@@ -24,9 +24,9 @@ from corrwork.szilard import EngineConfig, expected_work, optimal_partition, sim
 
 from oracles import h2_direct, law_probability
 
-CLASSICAL = CorrelationLaw.classical()
-QUANTUM = CorrelationLaw.quantum()
-SUPERQUANTUM = CorrelationLaw.superquantum()
+CLASSICAL = CorrelationLaw("classical")
+QUANTUM = CorrelationLaw("quantum")
+SUPERQUANTUM = CorrelationLaw("superquantum")
 STANDARD = ChshSettings.standard()
 
 

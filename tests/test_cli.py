@@ -3,6 +3,7 @@
 import errno
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -120,7 +121,7 @@ class TestSweep:
         assert raw.endswith(b"\n")
 
     def test_in_memory_rows_meet_tight_tolerance(self):
-        rows = np.vstack(list(cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1001)))
+        rows = np.vstack(list(cli.build_sweep(CorrelationLaw("quantum"), 0.0, math.pi, 1001)))
         assert len(rows) == 1001
         for theta, e, i_nats, _ in rows:
             assert abs(i_nats - (LN2 - binary_entropy((1.0 + e) / 2.0))) < 1e-12
@@ -139,10 +140,10 @@ class TestSweep:
                    for _, _, i_nats, w_kt in read_rows(out))
 
     def test_rows_are_lazy_and_arguments_eager(self):
-        blocks = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 10**12)
+        blocks = cli.build_sweep(CorrelationLaw("quantum"), 0.0, math.pi, 10**12)
         assert next(blocks)[0, 0] == 0.0
         with pytest.raises(cli.UsageError):
-            cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, 1)
+            cli.build_sweep(CorrelationLaw("quantum"), 0.0, math.pi, 1)
 
     def test_failed_write_leaves_no_file_and_keeps_the_old_one(self, tmp_path):
         def rows():
@@ -165,7 +166,7 @@ class TestSweep:
                                        cli.SWEEP_BLOCK, cli.SWEEP_BLOCK + 1,
                                        2 * cli.SWEEP_BLOCK + 1])
     def test_blocks_cover_exactly_steps_rows(self, steps):
-        blocks = list(cli.build_sweep(CorrelationLaw.classical(), 0.0, math.pi, steps))
+        blocks = list(cli.build_sweep(CorrelationLaw("classical"), 0.0, math.pi, steps))
         assert all(b.dtype == np.float64 and b.shape[1] == 4
                    and 1 <= len(b) <= cli.SWEEP_BLOCK for b in blocks)
         theta = np.vstack(blocks)[:, 0]
@@ -175,7 +176,7 @@ class TestSweep:
 
     def test_table_law_interpolates_each_row_once(self):
         knots = [(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]
-        law = CorrelationLaw.tabulated(knots)
+        law = CorrelationLaw("tabulated", knots)
         blocks = list(cli.build_sweep(law, 0.0, math.pi, 2 * cli.SWEEP_BLOCK + 7))
         assert len(blocks) == 3
         for block in blocks:
@@ -184,9 +185,9 @@ class TestSweep:
             assert np.array_equal(block[:, 3], block[:, 2])
 
     @pytest.mark.parametrize("law", [
-        CorrelationLaw.classical(), CorrelationLaw.quantum(),
-        CorrelationLaw.superquantum(),
-        CorrelationLaw.tabulated([(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]),
+        CorrelationLaw("classical"), CorrelationLaw("quantum"),
+        CorrelationLaw("superquantum"),
+        CorrelationLaw("tabulated", [(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]),
     ], ids=["classical", "quantum", "superquantum", "tabulated"])
     def test_blocks_take_i_from_the_one_array_route(self, law):
         blocks = list(cli.build_sweep(law, 0.0, math.pi, 2 * cli.SWEEP_BLOCK + 7))
@@ -198,9 +199,9 @@ class TestSweep:
     @pytest.mark.parametrize("steps", [2, _sweepcsv._ROWS - 1, _sweepcsv._ROWS + 1,
                                        cli.SWEEP_BLOCK - 1, cli.SWEEP_BLOCK + 1, 100001])
     @pytest.mark.parametrize("law", [
-        CorrelationLaw.classical(), CorrelationLaw.quantum(),
-        CorrelationLaw.superquantum(), CorrelationLaw.tabulated([(1.0, 0.25)]),
-        CorrelationLaw.tabulated([(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]),
+        CorrelationLaw("classical"), CorrelationLaw("quantum"),
+        CorrelationLaw("superquantum"), CorrelationLaw("tabulated", [(1.0, 0.25)]),
+        CorrelationLaw("tabulated", [(0.0, -1.0), (0.4, -0.9), (1.5, 0.1), (2.9, 0.95)]),
     ], ids=["classical", "quantum", "superquantum", "one-knot", "four-knot"])
     def test_csv_is_percent_formatting_of_the_rows(self, tmp_path, law, steps):
         out = tmp_path / "s.csv"
@@ -213,7 +214,7 @@ class TestSweep:
 
     def test_memory_is_flat_in_steps(self, tmp_path):
         def peak(steps):
-            rows = cli.build_sweep(CorrelationLaw.quantum(), 0.0, math.pi, steps)
+            rows = cli.build_sweep(CorrelationLaw("quantum"), 0.0, math.pi, steps)
             tracemalloc.start()
             try:
                 cli.write_sweep_csv(rows, str(tmp_path / "m.csv"))
@@ -764,7 +765,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_lhv_scan_reaches_settings_the_quantum_law_violates(self, seed):
         # the ceiling of 2 would be vacuous if no scanned setting could beat it
-        quantum = CorrelationLaw.quantum()
+        quantum = CorrelationLaw("quantum")
         values = [chsh_value(quantum, s)
                   for s in cli.random_settings(RandomStream(seed), 100)]
         assert max(values) > 2.0
@@ -888,17 +889,128 @@ def run_fresh(code):
     assert result.returncode == 0, result.stderr
 
 
-def run_module_child(argv, cwd):
+def run_module_child(argv, cwd, *, env=None, preexec_fn=None,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """(exit code, stdout, stderr) of a fresh ``python -m corrwork.cli`` child.
 
     argparse wraps its usage lines at $COLUMNS, so the child runs at 80; an
-    in-process run compared with it sets the same."""
+    in-process run compared with it sets the same.  ``env`` adds variables,
+    ``preexec_fn`` runs in the child before it starts, and ``stdout`` and
+    ``stderr`` replace the pipes (a stream that is not piped reads as None)."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.Popen([sys.executable, "-m", "corrwork.cli", *argv], cwd=cwd,
-                            env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            env=dict(os.environ, PYTHONPATH=src, COLUMNS="80", **(env or {})),
+                            text=True, preexec_fn=preexec_fn, stdout=stdout, stderr=stderr)
     out, err = proc.communicate(timeout=120)
     return proc.returncode, out, err
+
+
+def closing(fd):
+    """A preexec_fn that closes ``fd`` in the child, as the shell's ``>&-`` does."""
+    return lambda: os.close(fd)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full on this system")
+
+
+class TestStdStreams:
+    """A closed or failing std stream: exit 3 when stdout cannot take the
+    output, and an unchanged exit code when stderr cannot take a message.
+    PYTHONUNBUFFERED is set both ways, so that a write fails either at once
+    or at its flush.  No test points --out at a device node."""
+
+    BUFFERING = pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+
+    @BUFFERING
+    def test_closed_stderr_keeps_the_usage_exit_code(self, tmp_path, unbuffered):
+        code, out, err = run_module_child(["chsh", "--law", "bogus"], tmp_path,
+                                          env={"PYTHONUNBUFFERED": unbuffered},
+                                          stderr=subprocess.DEVNULL, preexec_fn=closing(2))
+        assert (code, out, err) == (cli.EXIT_USAGE, "", None)
+
+    @needs_dev_full
+    @BUFFERING
+    def test_full_stderr_keeps_the_usage_exit_code(self, tmp_path, unbuffered):
+        with open("/dev/full", "w") as full:
+            code, out, err = run_module_child(["chsh", "--law", "bogus"], tmp_path,
+                                              env={"PYTHONUNBUFFERED": unbuffered},
+                                              stderr=full)
+        assert (code, out, err) == (cli.EXIT_USAGE, "", None)
+
+    @needs_dev_full
+    @BUFFERING
+    @pytest.mark.parametrize("argv", [["chsh", "--law", "quantum"], ["verify"]],
+                             ids=["chsh", "verify"])
+    def test_full_stdout_is_an_io_error(self, tmp_path, unbuffered, argv):
+        with open("/dev/full", "w") as full:
+            child = run_module_child(argv, tmp_path, env={"PYTHONUNBUFFERED": unbuffered},
+                                     stdout=full)
+        message = f"corrwork: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert child == (cli.EXIT_IO, None, message)
+
+    @needs_dev_full
+    @BUFFERING
+    def test_full_stdout_and_stderr_is_an_io_error(self, tmp_path, unbuffered):
+        with open("/dev/full", "w") as full:
+            code, _, _ = run_module_child(["chsh", "--law", "quantum"], tmp_path,
+                                          env={"PYTHONUNBUFFERED": unbuffered},
+                                          stdout=full, stderr=full)
+        assert code == cli.EXIT_IO
+
+    @BUFFERING
+    def test_closed_stdout_is_an_io_error(self, tmp_path, unbuffered):
+        child = run_module_child(["chsh", "--law", "quantum"], tmp_path,
+                                 env={"PYTHONUNBUFFERED": unbuffered},
+                                 stdout=subprocess.DEVNULL, preexec_fn=closing(1))
+        message = f"corrwork: i/o error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+        assert child == (cli.EXIT_IO, None, message)
+
+    def test_sweep_to_a_closed_stdout_keeps_its_complete_file(self, capsys, tmp_path):
+        argv = ["sweep", "--law", "quantum", "--steps", "1001", "--out", "s.csv"]
+        code, _, err = run_module_child(argv, tmp_path, stdout=subprocess.DEVNULL,
+                                        preexec_fn=closing(1))
+        assert code == cli.EXIT_IO and err.startswith("corrwork: i/o error: ")
+        assert os.listdir(tmp_path) == ["s.csv"]
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        argv[-1] = str(expected / "s.csv")
+        assert run(capsys, *argv)[0] == cli.EXIT_OK
+        assert (tmp_path / "s.csv").read_bytes() == (expected / "s.csv").read_bytes()
+
+    def test_sweep_over_the_file_size_limit_leaves_nothing(self, tmp_path):
+        resource = pytest.importorskip("resource")
+
+        def limit():  # in the child only
+            resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024, 64 * 1024))
+
+        argv = ["sweep", "--law", "quantum", "--steps", "100001", "--out", "big.csv"]
+        child = run_module_child(argv, tmp_path, preexec_fn=limit)
+        message = f"cannot write sweep to big.csv: {os.strerror(errno.EFBIG)}"
+        assert child == (cli.EXIT_IO, "", f"corrwork: i/o error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_in_process_closed_stdout_is_an_io_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["chsh", "--law", "quantum"]) == cli.EXIT_IO
+        assert capsys.readouterr().err == (
+            f"corrwork: i/o error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n")
+
+    def test_in_process_failed_stdout_is_closed(self, capsys, monkeypatch):
+        # a write that fails at its flush leaves its bytes buffered; closed, the
+        # stream is not flushed again at exit, which would exit 120
+        class Full(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.TextIOWrapper(io.BufferedWriter(Full()))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["chsh", "--law", "quantum"]) == cli.EXIT_IO
+        assert stdout.closed
+        assert capsys.readouterr().err.startswith("corrwork: i/o error: [Errno 28]")
 
 
 class TestProcessBoundary:
@@ -1072,7 +1184,7 @@ class TestProcessBoundary:
         assert os.listdir(tmp_path) == ["d"]
 
     def test_failed_sweep_write_keeps_the_errno(self, tmp_path):
-        rows = cli.build_sweep(CorrelationLaw.quantum(), 0.0, 1.0, 3)
+        rows = cli.build_sweep(CorrelationLaw("quantum"), 0.0, 1.0, 3)
         with pytest.raises(OSError) as exc:
             cli.write_sweep_csv(rows, str(tmp_path / "missing" / "s.csv"))
         assert exc.value.errno == errno.ENOENT

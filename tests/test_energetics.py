@@ -33,17 +33,17 @@ class TestEnergeticChsh:
     def test_classical_value(self):
         expected = 2.0 * (LN2 - h2_direct(0.25))
         assert expected == pytest.approx(SW_CLASSICAL, abs=1e-15)
-        value = energetic_chsh(CorrelationLaw.classical(), STANDARD)
+        value = energetic_chsh(CorrelationLaw("classical"), STANDARD)
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_quantum_value(self):
         expected = 2.0 * (LN2 - h2_direct(math.sin(math.pi / 8.0) ** 2))
         assert expected == pytest.approx(SW_QUANTUM, abs=1e-15)
-        value = energetic_chsh(CorrelationLaw.quantum(), STANDARD)
+        value = energetic_chsh(CorrelationLaw("quantum"), STANDARD)
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_superquantum_value(self):
-        value = energetic_chsh(CorrelationLaw.superquantum(), STANDARD)
+        value = energetic_chsh(CorrelationLaw("superquantum"), STANDARD)
         assert value == pytest.approx(2.0 * LN2, abs=1e-9)
         assert value == pytest.approx(SW_SUPERQUANTUM, abs=1e-15)
 
@@ -67,8 +67,8 @@ class TestEnergeticChsh:
 
     @pytest.mark.parametrize(
         "law",
-        [CorrelationLaw.classical(), CorrelationLaw.quantum(),
-         CorrelationLaw.superquantum()],
+        [CorrelationLaw("classical"), CorrelationLaw("quantum"),
+         CorrelationLaw("superquantum")],
         ids=lambda law: law.name,
     )
     def test_reduced_form_at_standard_angles(self, law):
@@ -81,7 +81,7 @@ class TestEnergeticChsh:
 
     @pytest.mark.parametrize(
         "law",
-        [CorrelationLaw.classical(), CorrelationLaw.quantum()],
+        [CorrelationLaw("classical"), CorrelationLaw("quantum")],
         ids=lambda law: law.name,
     )
     def test_quarter_angle_symmetry(self, law):
@@ -92,7 +92,7 @@ class TestEnergeticChsh:
 
 class TestDecayFit:
     def test_classical_linear_decay(self):
-        fit = fit_decay_exponent(CorrelationLaw.classical(), 0.0)
+        fit = fit_decay_exponent(CorrelationLaw("classical"), 0.0)
         assert isinstance(fit, DecayFit)
         assert 0.995 <= fit.exponent <= 1.005
         assert fit.prefactor == pytest.approx(2.0 / math.pi, abs=1e-3)
@@ -100,7 +100,7 @@ class TestDecayFit:
         assert fit.window == (1e-3, 1e-1)
 
     def test_quantum_quadratic_decay(self):
-        fit = fit_decay_exponent(CorrelationLaw.quantum(), 0.0)
+        fit = fit_decay_exponent(CorrelationLaw("quantum"), 0.0)
         assert fit is not None
         assert 1.99 <= fit.exponent <= 2.01
         assert fit.r_squared >= 0.999
@@ -108,11 +108,11 @@ class TestDecayFit:
         assert fit.prefactor == pytest.approx(0.5, rel=0.01)
 
     def test_superquantum_is_flat(self):
-        assert fit_decay_exponent(CorrelationLaw.superquantum(), 0.0) is None
+        assert fit_decay_exponent(CorrelationLaw("superquantum"), 0.0) is None
 
     @pytest.mark.parametrize(
         "law",
-        [CorrelationLaw.classical(), CorrelationLaw.quantum()],
+        [CorrelationLaw("classical"), CorrelationLaw("quantum")],
         ids=lambda law: law.name,
     )
     def test_anchor_pi_matches_anchor_zero(self, law):
@@ -132,15 +132,15 @@ class TestDecayFit:
     def test_poor_fit_is_reported_not_raised(self, monkeypatch):
         # the fit reports r^2; verify's r2_deficit checks judge it
         monkeypatch.setattr(energetics, "_loglog_fit", lambda xs, ys: (1.0, 0.0, 0.5))
-        fit = fit_decay_exponent(CorrelationLaw.classical(), 0.0)
+        fit = fit_decay_exponent(CorrelationLaw("classical"), 0.0)
         assert (fit.exponent, fit.prefactor, fit.r_squared) == (1.0, 1.0, 0.5)
 
     def test_invalid_anchor_rejected(self):
         with pytest.raises(ValueError):
-            fit_decay_exponent(CorrelationLaw.classical(), math.pi / 2.0)
+            fit_decay_exponent(CorrelationLaw("classical"), math.pi / 2.0)
 
     def test_tabulated_law_rejected(self):
-        law = CorrelationLaw.tabulated([(0.0, -1.0), (math.pi, 1.0)])
+        law = CorrelationLaw("tabulated", [(0.0, -1.0), (math.pi, 1.0)])
         with pytest.raises(ValueError):
             fit_decay_exponent(law, 0.0)
 
@@ -152,8 +152,8 @@ class TestWorkDeficit:
     quantum one; so the deficit over ln(1/eps) decays as theta and theta^2."""
 
     @pytest.mark.parametrize("law, error, exponent", [
-        (CorrelationLaw.classical(), lambda t: t / math.pi, 1.0),
-        (CorrelationLaw.quantum(), lambda t: math.sin(t / 2.0) ** 2, 2.0),
+        (CorrelationLaw("classical"), lambda t: t / math.pi, 1.0),
+        (CorrelationLaw("quantum"), lambda t: math.sin(t / 2.0) ** 2, 2.0),
     ], ids=["classical", "quantum"])
     def test_deficit_is_the_entropy_of_the_bit_error(self, law, error, exponent):
         deficits = [LN2 - mutual_information(law.evaluate(t)) for t in MISALIGNMENTS]
@@ -165,6 +165,6 @@ class TestWorkDeficit:
         assert slope == pytest.approx(exponent, abs=0.05)
 
     def test_superquantum_work_has_no_deficit(self):
-        law = CorrelationLaw.superquantum()
+        law = CorrelationLaw("superquantum")
         assert [LN2 - mutual_information(law.evaluate(t)) for t in MISALIGNMENTS] == [
             0.0] * DECAY_POINTS

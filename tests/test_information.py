@@ -46,9 +46,9 @@ CORRELATIONS = st.one_of(
 )
 
 ALL_LAWS = [
-    CorrelationLaw.classical(),
-    CorrelationLaw.quantum(),
-    CorrelationLaw.superquantum(),
+    CorrelationLaw("classical"),
+    CorrelationLaw("quantum"),
+    CorrelationLaw("superquantum"),
 ]
 
 #: the largest gap, in units in the last place, allowed between an array
@@ -63,7 +63,7 @@ TABLE_LAWS = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=math.pi),
               st.floats(min_value=-1.0, max_value=1.0)),
     min_size=1, max_size=12, unique_by=lambda knot: knot[0],
-).map(sorted).filter(finite_slopes).map(CorrelationLaw.tabulated)
+).map(sorted).filter(finite_slopes).map(lambda knots: CorrelationLaw("tabulated", knots))
 LAWS = st.one_of(st.sampled_from(ALL_LAWS), TABLE_LAWS)
 
 
@@ -184,7 +184,7 @@ class TestMutualInformationAccuracy:
         offsets = np.geomspace(1e-12, 1e-1, 400)
         thetas = np.concatenate(([math.pi / 2.0], math.pi / 2.0 - offsets,
                                  math.pi / 2.0 + offsets))
-        quantum = CorrelationLaw.quantum()
+        quantum = CorrelationLaw("quantum")
         for theta in thetas.tolist():
             want = quantum_information_mp(theta)
             got = mutual_information_law(quantum, theta)
@@ -198,22 +198,22 @@ class TestMutualInformationAccuracy:
 
 class TestClosedForms:
     def test_classical_quarter_pi(self):
-        value = mutual_information_law(CorrelationLaw.classical(), Angle(math.pi / 4.0))
+        value = mutual_information_law(CorrelationLaw("classical"), Angle(math.pi / 4.0))
         assert value == pytest.approx(LN2 - h2_direct(0.25), abs=1e-15)
 
     def test_quantum_half_pi_is_zero(self):
-        value = mutual_information_law(CorrelationLaw.quantum(), Angle(math.pi / 2.0))
+        value = mutual_information_law(CorrelationLaw("quantum"), Angle(math.pi / 2.0))
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_superquantum_quarter_pi_is_ln2(self):
         value = mutual_information_law(
-            CorrelationLaw.superquantum(), Angle(math.pi / 4.0)
+            CorrelationLaw("superquantum"), Angle(math.pi / 4.0)
         )
         assert value == LN2
 
     def test_superquantum_half_pi_is_zero(self):
         value = mutual_information_law(
-            CorrelationLaw.superquantum(), Angle(math.pi / 2.0)
+            CorrelationLaw("superquantum"), Angle(math.pi / 2.0)
         )
         assert value == 0.0
 
@@ -232,7 +232,7 @@ class TestClosedForms:
         assert mutual_information_law(law, theta) == mutual_information(law.evaluate(theta))
 
     def test_tabulated_uses_generic_route(self):
-        law = CorrelationLaw.tabulated([(0.0, -1.0), (math.pi, 1.0)])
+        law = CorrelationLaw("tabulated", [(0.0, -1.0), (math.pi, 1.0)])
         theta = Angle(1.0)
         assert mutual_information_law(law, theta) == pytest.approx(
             mutual_information(law.evaluate(theta)), abs=1e-15

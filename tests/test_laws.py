@@ -10,9 +10,9 @@ from corrwork.laws import Angle, CorrelationLaw, canonical_radians, tabulated_fr
 
 from oracles import csv_table_records, finite_slopes
 
-CLASSICAL = CorrelationLaw.classical()
-QUANTUM = CorrelationLaw.quantum()
-SUPERQUANTUM = CorrelationLaw.superquantum()
+CLASSICAL = CorrelationLaw("classical")
+QUANTUM = CorrelationLaw("quantum")
+SUPERQUANTUM = CorrelationLaw("superquantum")
 ALL_LAWS = [CLASSICAL, QUANTUM, SUPERQUANTUM]
 
 #: every finite double: a uniform draw from a range such as (-20, 20) lies on
@@ -122,7 +122,7 @@ TABLE_LAWS = st.lists(
     st.tuples(st.floats(min_value=0.0, max_value=math.pi),
               st.floats(min_value=-1.0, max_value=1.0)),
     min_size=1, max_size=12, unique_by=lambda knot: knot[0],
-).map(sorted).filter(finite_slopes).map(CorrelationLaw.tabulated)
+).map(sorted).filter(finite_slopes).map(lambda knots: CorrelationLaw("tabulated", knots))
 
 #: knot spacings down to the smallest subnormal, where a slope can overflow
 SPACINGS = st.one_of(st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308]),
@@ -149,7 +149,7 @@ def edge_tables(draw):
             e0 = knots[-1][1]
             e = draw(st.sampled_from([e0, math.nextafter(e0, 1.0), math.nextafter(e0, -1.0)]))
         knots.append((theta, e))
-    return CorrelationLaw.tabulated(knots)
+    return CorrelationLaw("tabulated", knots)
 
 
 RAW_ANGLES = st.lists(st.one_of(st.floats(min_value=-50.0, max_value=50.0), FINITE),
@@ -185,10 +185,10 @@ class TestArrayTwins:
 
     # e0 + (e1 - e0) * (t - t0) / (t1 - t0) gives -1.0000000083 here: its
     # product underflows to a subnormal and keeps only a few digits
-    @example(law=CorrelationLaw.tabulated([(0.0, -0.9999999768431401), (1.56851327e-316, -1.0)]),
+    @example(law=CorrelationLaw("tabulated", [(0.0, -0.9999999768431401), (1.56851327e-316, -1.0)]),
              extra=[1.5685132e-316])
     # np.interp's rounded formula gives 1 + 2**-52 one ulp before the knot at 1
-    @example(law=CorrelationLaw.tabulated([(0.0, -1.0), (0.6964859808574032, -0.8412946866338875),
+    @example(law=CorrelationLaw("tabulated", [(0.0, -1.0), (0.6964859808574032, -0.8412946866338875),
                                            (1.9552545469355174, 1.0)]),
              extra=[])
     @given(law=edge_tables(), extra=st.lists(st.floats(min_value=0.0, max_value=math.pi),
@@ -204,16 +204,16 @@ class TestArrayTwins:
         assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_table_clamps_and_hits_knots(self):
-        law = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
+        law = CorrelationLaw("tabulated", [(1.0, -0.5), (2.0, 0.5)])
         got = law.evaluate_many(np.array([0.5, 1.0, 1.5, 2.0, 2.5]))
         assert got.tolist() == [-0.5, -0.5, law.evaluate(1.5), 0.5, 0.5]
-        single = CorrelationLaw.tabulated([(1.0, 0.25)])
+        single = CorrelationLaw("tabulated", [(1.0, 0.25)])
         assert single.evaluate_many(np.array([0.0, 1.0, 3.0])).tolist() == [0.25] * 3
 
     def test_alternating_tables_each_use_their_own_knots(self):
         # each call interpolates in the knots of its own table
-        rising = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
-        falling = CorrelationLaw.tabulated([(1.0, 0.5), (2.0, -0.5)])
+        rising = CorrelationLaw("tabulated", [(1.0, -0.5), (2.0, 0.5)])
+        falling = CorrelationLaw("tabulated", [(1.0, 0.5), (2.0, -0.5)])
         theta = np.array([0.5, 1.25, 1.5, 2.5])
         for law in (rising, falling, rising, falling):
             got = law.evaluate_many(theta).tolist()
@@ -222,35 +222,35 @@ class TestArrayTwins:
 
 class TestTabulatedLaw:
     def test_interpolates_between_knots(self):
-        law = CorrelationLaw.tabulated([(0.0, -1.0), (math.pi / 2.0, 0.0), (math.pi, 1.0)])
+        law = CorrelationLaw("tabulated", [(0.0, -1.0), (math.pi / 2.0, 0.0), (math.pi, 1.0)])
         assert law.evaluate(Angle(math.pi / 4.0)) == pytest.approx(-0.5, abs=1e-15)
 
     def test_clamps_outside_knot_range(self):
-        law = CorrelationLaw.tabulated([(1.0, -0.5), (2.0, 0.5)])
+        law = CorrelationLaw("tabulated", [(1.0, -0.5), (2.0, 0.5)])
         assert law.evaluate(Angle(0.5)) == -0.5
         assert law.evaluate(Angle(2.5)) == 0.5
         assert law.evaluate(Angle(1.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            CorrelationLaw.tabulated([])
+            CorrelationLaw("tabulated", [])
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
-            CorrelationLaw.tabulated([(0.5, 0.0), (0.5, 0.1)])
+            CorrelationLaw("tabulated", [(0.5, 0.0), (0.5, 0.1)])
 
     def test_out_of_range_correlation_rejected(self):
         with pytest.raises(ValueError):
-            CorrelationLaw.tabulated([(0.0, -2.0)])
+            CorrelationLaw("tabulated", [(0.0, -2.0)])
 
     def test_slope_that_overflows_rejected(self):
         # np.interp's formula would give inf between these knots
         with pytest.raises(ValueError, match="^table slope from angle 0.0 to 1e-310 overflows$"):
-            CorrelationLaw.tabulated([(0.0, -1.0), (1e-310, 1.0)])
+            CorrelationLaw("tabulated", [(0.0, -1.0), (1e-310, 1.0)])
 
     def test_table_forbidden_for_named_kinds(self):
         with pytest.raises(ValueError):
-            CorrelationLaw(CorrelationLaw.classical().kind, table=((0.0, 0.0),))
+            CorrelationLaw("classical", table=((0.0, 0.0),))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="valid names"):
@@ -363,7 +363,7 @@ class TestTabulatedCsv:
     def test_field_of_any_length_is_read(self, tmp_path):
         # longer than the csv module's 131072-character field limit
         path = self._write(tmp_path, "theta_radians,e\n0.0,-1.0\n" + "0" * 200000 + ".5,0.0\n")
-        assert tabulated_from_csv(path) == CorrelationLaw.tabulated([(0.0, -1.0), (0.5, 0.0)])
+        assert tabulated_from_csv(path) == CorrelationLaw("tabulated", [(0.0, -1.0), (0.5, 0.0)])
 
     def test_non_utf8_byte_after_bare_carriage_returns_names_its_line(self, tmp_path):
         # csv ends a line at a bare CR, as at LF and CRLF
@@ -396,7 +396,7 @@ KNOT_LISTS = st.lists(st.tuples(KNOT_COORDINATES, KNOT_COORDINATES),
 
 def _rejects(knots) -> bool:
     try:
-        CorrelationLaw.tabulated(knots)
+        CorrelationLaw("tabulated", knots)
     except ValueError:
         return True
     return False
@@ -409,7 +409,7 @@ def test_csv_loader_rejects_exactly_the_knots_the_constructor_rejects(tmp_path, 
     rows = "".join(f"{theta!r},{e!r}\n" for theta, e in knots)
     path.write_text("theta_radians,e\n" + rows, encoding="utf-8")
     try:
-        law = CorrelationLaw.tabulated(knots)
+        law = CorrelationLaw("tabulated", knots)
     except ValueError as exc:
         # the constructor reports the first knot that no prefix of the table
         # may end in; the loader names that knot's line, header on line 1
@@ -461,11 +461,11 @@ def _reference_load(path) -> CorrelationLaw:
     knots = []
     for line, theta, e in csv_table_records(path):
         try:
-            CorrelationLaw.tabulated([*knots, (theta, e)])
+            CorrelationLaw("tabulated", [*knots, (theta, e)])
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
         knots.append((theta, e))
-    return CorrelationLaw.tabulated(knots)
+    return CorrelationLaw("tabulated", knots)
 
 
 def _outcome(load, path):

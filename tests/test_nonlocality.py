@@ -52,15 +52,15 @@ SETTING_ANGLES = st.sampled_from((1e308, -1e308)) | st.floats(-10.0, 10.0) | st.
 
 class TestChshValue:
     def test_classical_standard(self):
-        value = chsh_value(CorrelationLaw.classical(), ChshSettings.standard())
+        value = chsh_value(CorrelationLaw("classical"), ChshSettings.standard())
         assert value == 2.0
 
     def test_quantum_standard(self):
-        value = chsh_value(CorrelationLaw.quantum(), ChshSettings.standard())
+        value = chsh_value(CorrelationLaw("quantum"), ChshSettings.standard())
         assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
 
     def test_superquantum_standard(self):
-        value = chsh_value(CorrelationLaw.superquantum(), ChshSettings.standard())
+        value = chsh_value(CorrelationLaw("superquantum"), ChshSettings.standard())
         assert value == 4.0
 
     def test_combine_signs_the_four_relative_angles_in_order(self):
@@ -108,8 +108,8 @@ class TestChshValue:
 
     def test_value_stays_in_algebraic_range(self):
         stream = RandomStream(29)
-        laws = [CorrelationLaw.classical(), CorrelationLaw.quantum(),
-                CorrelationLaw.superquantum()]
+        laws = [CorrelationLaw("classical"), CorrelationLaw("quantum"),
+                CorrelationLaw("superquantum")]
         for _ in range(200):
             s = random_settings(stream)
             for law in laws:
@@ -177,7 +177,7 @@ class TestOperatorBound:
             assert norm <= TSIRELSON_BOUND + 1e-9
 
     def test_singlet_value_never_exceeds_norm(self):
-        quantum = CorrelationLaw.quantum()
+        quantum = CorrelationLaw("quantum")
         stream = RandomStream(43)
         for _ in range(300):
             s = random_settings(stream)
@@ -186,25 +186,25 @@ class TestOperatorBound:
 
 class TestMaximize:
     def test_classical_reaches_local_bound(self):
-        settings, value = maximize_chsh(CorrelationLaw.classical())
+        settings, value = maximize_chsh(CorrelationLaw("classical"))
         assert value == pytest.approx(2.0, abs=1e-6)
-        assert value >= chsh_value(CorrelationLaw.classical(), ChshSettings.standard()) - 1e-12
+        assert value >= chsh_value(CorrelationLaw("classical"), ChshSettings.standard()) - 1e-12
 
     def test_quantum_reaches_tsirelson(self):
-        settings, value = maximize_chsh(CorrelationLaw.quantum())
+        settings, value = maximize_chsh(CorrelationLaw("quantum"))
         assert value == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
-        assert chsh_value(CorrelationLaw.quantum(), settings) == value
-        assert value >= chsh_value(CorrelationLaw.quantum(), ChshSettings.standard())
+        assert chsh_value(CorrelationLaw("quantum"), settings) == value
+        assert value >= chsh_value(CorrelationLaw("quantum"), ChshSettings.standard())
 
     def test_superquantum_reaches_algebraic_maximum(self):
-        _, value = maximize_chsh(CorrelationLaw.superquantum())
+        _, value = maximize_chsh(CorrelationLaw("superquantum"))
         assert value == 4.0
         assert value >= chsh_value(
-            CorrelationLaw.superquantum(), ChshSettings.standard()
+            CorrelationLaw("superquantum"), ChshSettings.standard()
         )
 
     def test_value_invariant_under_global_rotation(self):
-        law = CorrelationLaw.quantum()
+        law = CorrelationLaw("quantum")
         settings, value = maximize_chsh(law)
         stream = RandomStream(47)
         for _ in range(10):
@@ -218,11 +218,11 @@ class TestMaximize:
             assert chsh_value(law, rotated) == pytest.approx(value, abs=1e-6)
 
     def test_quantum_lands_exactly_on_tsirelson(self):
-        assert maximize_chsh(CorrelationLaw.quantum())[1] == TSIRELSON_BOUND
+        assert maximize_chsh(CorrelationLaw("quantum"))[1] == TSIRELSON_BOUND
 
     def test_deterministic_result(self):
-        first = maximize_chsh(CorrelationLaw.quantum())
-        second = maximize_chsh(CorrelationLaw.quantum())
+        first = maximize_chsh(CorrelationLaw("quantum"))
+        second = maximize_chsh(CorrelationLaw("quantum"))
         assert first == second
 
 
@@ -255,7 +255,7 @@ def law_grid(law):
 def seeded_table(seed, knots=33):
     """A jagged table law: knots at even angles, correlations uniform in [-1, 1)."""
     stream = RandomStream(seed)
-    return CorrelationLaw.tabulated(
+    return CorrelationLaw("tabulated", 
         [(math.pi * k / (knots - 1), 2.0 * stream.next_uniform() - 1.0)
          for k in range(knots)]
     )
@@ -269,7 +269,7 @@ def smooth_table(seed, knots=1000):
     thetas = [0.0, *(k * step + rng.uniform(-0.3, 0.3) * step for k in range(1, knots - 1)),
               math.pi]
     amp = rng.uniform(0.8, 1.0)
-    return CorrelationLaw.tabulated(
+    return CorrelationLaw("tabulated", 
         [(t, min(1.0, max(-1.0, -amp * math.cos(t) + rng.gauss(0.0, 0.02)))) for t in thetas])
 
 
@@ -278,8 +278,8 @@ def circulants(elements, max_n=9):
         lambda n: st.lists(elements, min_size=n, max_size=n)).map(circulant)
 
 
-NAMED_LAWS = [CorrelationLaw.classical(), CorrelationLaw.quantum(),
-              CorrelationLaw.superquantum()]
+NAMED_LAWS = [CorrelationLaw("classical"), CorrelationLaw("quantum"),
+              CorrelationLaw("superquantum")]
 
 
 class TestGridArgmax:
@@ -292,7 +292,7 @@ class TestGridArgmax:
         "law",
         [smooth_table(seed) for seed in range(1, 41)]
         + [seeded_table(5), seeded_table(8, knots=9), seeded_table(13, knots=4),
-           CorrelationLaw.tabulated([(1.0, 0.25)])],
+           CorrelationLaw("tabulated", [(1.0, 0.25)])],
         ids=[f"smooth-{seed}" for seed in range(1, 41)]
         + ["jagged-5", "jagged-8-9", "jagged-13-4", "one-knot"])
     def test_table_grids_match_the_quartic_scan(self, law):
@@ -323,11 +323,11 @@ class TestGridArgmax:
 #: of the exactly circulant grid, then compass refinement from that start;
 #: test_golden_results_match_the_reference_search derives each one again
 GOLDEN = {
-    "classical": (CorrelationLaw.classical(), 2.0000000000000004,
+    "classical": (CorrelationLaw("classical"), 2.0000000000000004,
                   (0.0, 0.17453292519943295, 3.141592653589793, 0.33815754257390135)),
-    "quantum": (CorrelationLaw.quantum(), 2.8284271247461903,
+    "quantum": (CorrelationLaw("quantum"), 2.8284271247461903,
                 (0.0, 1.5707963267948966, 0.7853981633974483, 5.497787143782138)),
-    "superquantum": (CorrelationLaw.superquantum(), 4.0,
+    "superquantum": (CorrelationLaw("superquantum"), 4.0,
                      (0.0, 0.17453292519943295, 0.0, 4.799655442984406)),
     "table-3": (seeded_table(3), 3.005111670899704,
                 (0.0, 1.6689710972195775, 0.0, 3.7306412761378795)),
@@ -371,7 +371,7 @@ def test_refinement_stops_at_the_probe_cap(monkeypatch, cap):
 
     monkeypatch.setattr(nonlocality, "REFINE_MAX_EVALS", cap)
     monkeypatch.setattr(nonlocality, "chsh_value", counting_chsh_value)
-    law = CorrelationLaw.quantum()
+    law = CorrelationLaw("quantum")
     angles, value = maximize_chsh(law)
     # one evaluation of the grid optimum, then exactly cap probes
     assert calls == 1 + cap

@@ -9,11 +9,12 @@ the inputs they reject.
 import copy
 import math
 import pickle
+import re
 
 import pytest
 
 from corrwork.energetics import DecayFit, fit_decay_exponent
-from corrwork.laws import Angle, CorrelationLaw, LawKind
+from corrwork.laws import NAMED_LAWS, Angle, CorrelationLaw
 from corrwork.nonlocality import ChshSettings, maximize_chsh
 from corrwork.rng import RandomStream, check_seed
 from corrwork.szilard import (
@@ -30,8 +31,8 @@ TABLE = ((0.0, -1.0), (1.0, 0.25), (3.0, 0.75))
 #: class name -> (keyword fields, an instance with other field values)
 VALUES = {
     "Angle": (Angle, {"radians": 0.5}, Angle(0.75)),
-    "CorrelationLaw": (CorrelationLaw, {"kind": LawKind.TABULATED, "table": TABLE},
-                       CorrelationLaw.quantum()),
+    "CorrelationLaw": (CorrelationLaw, {"name": "tabulated", "table": TABLE},
+                       CorrelationLaw("quantum")),
     "ChshSettings": (ChshSettings,
                      {"phi_a": 0.0, "phi_a_prime": 1.5, "phi_b": 0.75,
                       "phi_b_prime": -0.75},
@@ -50,7 +51,7 @@ VALUES = {
 
 REPRS = {
     "Angle": "Angle(radians=0.5)",
-    "CorrelationLaw": ("CorrelationLaw(kind=<LawKind.TABULATED: 'tabulated'>, "
+    "CorrelationLaw": ("CorrelationLaw(name='tabulated', "
                        "table=((0.0, -1.0), (1.0, 0.25), (3.0, 0.75)))"),
     "ChshSettings": ("ChshSettings(phi_a=0.0, phi_a_prime=1.5, phi_b=0.75, "
                      "phi_b_prime=-0.75)"),
@@ -141,18 +142,25 @@ class TestValidatedTypes:
             ChshSettings(0.0, math.nan, math.inf, 0.0)
 
     def test_maximize_returns_value_types(self):
-        settings, value = maximize_chsh(CorrelationLaw.quantum())
+        settings, value = maximize_chsh(CorrelationLaw("quantum"))
         angles = (settings.phi_a, settings.phi_a_prime, settings.phi_b,
                   settings.phi_b_prime)
-        assert maximize_chsh(CorrelationLaw.quantum()) == (ChshSettings(*angles), value)
+        assert maximize_chsh(CorrelationLaw("quantum")) == (ChshSettings(*angles), value)
         assert ChshSettings(**settings.as_dict()) == settings
 
-    @pytest.mark.parametrize("kind", [LawKind.CLASSICAL_LINEAR, LawKind.QUANTUM_COSINE,
-                                      LawKind.SUPERQUANTUM_STEP])
-    def test_named_law_rejects_a_table(self, kind):
-        with pytest.raises(ValueError, match=f"^{kind.value} law does not take a table$"):
-            CorrelationLaw(kind, TABLE)
-        assert CorrelationLaw(kind=kind) == CorrelationLaw(kind, None)
+    @pytest.mark.parametrize("name", NAMED_LAWS)
+    def test_named_law_rejects_a_table(self, name):
+        with pytest.raises(ValueError, match=f"^{name} law does not take a table$"):
+            CorrelationLaw(name, TABLE)
+        assert CorrelationLaw(name=name) == CorrelationLaw(name, None)
+
+    @pytest.mark.parametrize("name", ["bogus", "", "Quantum", "quantum ", "table:law.csv",
+                                      "QUANTUM_COSINE", None, 0])
+    @pytest.mark.parametrize("table", [None, TABLE])
+    def test_unknown_law_name_is_rejected(self, name, table):
+        message = f"law name {name!r} is neither tabulated nor in NAMED_LAWS"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CorrelationLaw(name, table)
 
     @pytest.mark.parametrize("table, message", [
         (None, "requires a non-empty table"),
@@ -163,12 +171,27 @@ class TestValidatedTypes:
     ])
     def test_tabulated_law_checks_its_table(self, table, message):
         with pytest.raises(ValueError, match=message):
-            CorrelationLaw(LawKind.TABULATED, table)
+            CorrelationLaw("tabulated", table)
 
     def test_tabulated_law_keeps_its_table(self):
-        law = CorrelationLaw.tabulated([[0, -1], [1, 0.25], [3, 0.75]])
-        assert law == CorrelationLaw(LawKind.TABULATED, TABLE)
+        law = CorrelationLaw("tabulated", [[0, -1], [1, 0.25], [3, 0.75]])
+        assert law == CorrelationLaw("tabulated", TABLE)
         assert law.table == TABLE and law.name == "tabulated"
+
+    @pytest.mark.parametrize("knots", [
+        [[0, -1], [1, 0.25], [3, 0.75]],
+        [(0, -1), (1, 0.25), (3, 0.75)],
+        ([0.0, -1.0], [1.0, 0.25], [3.0, 0.75]),
+        [[False, -1], [True, 0.25], [3, 0.75]],
+    ], ids=["list-of-int-lists", "list-of-int-tuples", "tuple-of-lists", "bools"])
+    def test_tabulated_law_freezes_its_knots(self, knots):
+        law, frozen = CorrelationLaw("tabulated", knots), CorrelationLaw("tabulated", TABLE)
+        assert law == frozen and hash(law) == hash(frozen)
+        assert type(law.table) is tuple
+        assert all(type(knot) is tuple and list(map(type, knot)) == [float, float]
+                   for knot in law.table)
+        assert pickle.loads(pickle.dumps(law)) == law
+        assert {law: 1}[frozen] == 1
 
     @pytest.mark.parametrize("field, bad, message", [
         ("error_prob", -0.1, "error probability must be >= 0, got -0.1"),
@@ -206,7 +229,7 @@ class TestValidatedTypes:
 
 class TestRecords:
     def test_library_results_are_the_records(self):
-        fit = fit_decay_exponent(CorrelationLaw.quantum(), 0.0)
+        fit = fit_decay_exponent(CorrelationLaw("quantum"), 0.0)
         assert isinstance(fit, DecayFit) and fit.window == (1e-3, 1e-1)
         result = simulate(EngineConfig(**ENGINE))
         assert isinstance(result, CycleResult) and result.n == ENGINE["trials"]
