@@ -17,7 +17,7 @@ Conventions:
   - sweeps are computed in blocks of SWEEP_BLOCK rows, where I(E) runs each
     branch only on its own rows; each block is formatted by _sweepcsv, a
     numpy kernel whose bytes are exactly those of "%.10g"; numpy is loaded
-    only by sweep, szilard and verify
+    only by sweep and verify
   - main returns every exit code, argparse's too; run(), the process entry,
     exits with it after freezing the heap, out of exit-time collections' reach
 
@@ -35,6 +35,7 @@ import gc
 import json
 import math
 import os
+import stat
 import sys
 from typing import TYPE_CHECKING, Iterator, NoReturn
 
@@ -192,11 +193,27 @@ def build_sweep(
     return blocks()
 
 
+def _check_target(path: str) -> None:
+    """Refuse an existing ``path`` that is not a regular file, before anything
+    is written: the rename would fail on a directory, and would replace a
+    FIFO, a socket or a device.  An absent or unreachable path is left to
+    open and the rename to report."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    if not stat.S_ISREG(mode):
+        raise OSError(None, "not a regular file")
+
+
 def write_sweep_csv(rows, out_path: str) -> None:
     """Stream blocks of (theta, e, i_nats, w_kT) rows to a temporary file beside
     ``out_path``, formatted by the exact "%.10g" kernel of _sweepcsv in
     buffers shared by every block, then rename it into place; on any failure
-    the temporary file is removed."""
+    the temporary file is removed.  An existing ``out_path`` that is not a
+    regular file is refused first."""
     from ._sweepcsv import format_blocks  # lazily: it builds numpy tables
 
     # beside out_path, so that the rename is atomic, under a name of fixed
@@ -204,6 +221,7 @@ def write_sweep_csv(rows, out_path: str) -> None:
     name = f".sweep-{os.getpid()}-{hash(out_path) & 0xFFFFFFFF:08x}.tmp"
     tmp = os.path.join(os.path.dirname(out_path), name)
     try:
+        _check_target(out_path)
         handle = open(tmp, "xb")
         try:
             with handle:
@@ -582,12 +600,22 @@ def _cmd_verify(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+class _Version(argparse.Action):
+    """--version: argparse's own action would fall back to stderr where
+    stdout is closed, so the version goes through _write, like every report."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _write(sys.stdout, f"corrwork {__version__}\n")
+        parser.exit()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrwork",
         description="Correlation laws, CHSH parameters, and correlation-powered work.",
     )
-    parser.add_argument("--version", action="version", version=f"corrwork {__version__}")
+    parser.add_argument("--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_law(p):

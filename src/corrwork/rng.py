@@ -28,18 +28,44 @@ exact in floating point,
     u < p  <=>  j < k = ceil(p * 2**53)
 
 and j < k is decided by the first bit, from the top, where j and k differ.
-So the count draws each trial's bits only until that bit, and all tied
-trials' bits at once: at each bit of k from bit 52 down, the ``tied``
-trials whose leading bits so far equal k's read one fresh fair bit each,
-and the number of zeros among them is tied - popcount of tied fair bits
-(tied // 64 whole words and the low tied % 64 bits of one more).  Where k's
-bit is 1 the zeros fall below k and are counted, and the ones stay tied;
-where it is 0 the ones rise above k and only the zeros stay tied.  The walk
-ends when no trial is tied, or when k has no set bit left, so that the
-trials still tied are at or above k.  The count is exactly
-Binomial(n, k * 2**-53), the law of n uniforms compared with p, from about
-2n/64 words: half the tied trials leave at each bit.  For p = 1 (k = 2**53)
-every trial counts and for p = 0 none does, without a draw.
+So the count walks the bits of k from bit 52 down with the number ``tied``
+of trials whose leading bits so far equal k's.  Each tied trial's next bit
+is fair, so the tied trials with a 0 there number Z ~ Binomial(tied, 1/2).
+Where k's bit is 1 those Z fall below k and are counted, and the others
+stay tied; where it is 0 the others rise above k and only the Z stay tied.
+The walk ends when no trial is tied, or when k has no set bit left, so that
+the trials still tied are at or above k.  The count is exactly
+Binomial(n, k * 2**-53), the law of n uniforms compared with p.
+
+Each Z is one exact Binomial(m, 1/2) draw in O(1) expected words
+(Bringmann, Kuhn, Panagiotou, Peter & Thomas, ICALP 2014; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. X).  An odd m adds the
+low bit of one word to Binomial(m - 1, 1/2).  For m = 2a, with
+r(d) = C(2a, a + d) / C(2a, a), the draw is a + D, where D is proposed from
+a block index g, an offset u and a sign s:
+
+    g  the trailing zeros of one word, 64 more for each zero word before
+       it, so that P(g) = 2**-(g + 1);
+    s, u  the low bit of the next word whose top 63 bits fall below the
+       largest multiple of W = isqrt(ceil(2 ln 2 * a)) + 1 under 2**63, and
+       those 63 bits mod W, uniform on [0, W) (a W of 64 bits or more takes
+       as many words as it needs, joined with the first word highest);
+    D  g*W + u for s = 0, and -(g*W + u + 1) for s = 1, so that 0 is
+       proposed once;
+
+and accepted with probability t = r(|D|) * 2**g, so that each D has mass
+r(|D|) / 4W, in proportion to C(2a, a + D).  A |D| > a has r = 0 and is
+rejected without a draw.  r(d) <= exp(-d**2 / (a + d)), and
+W (W - ln 2) >= a ln 2, so t <= 1; for large a about 0.38 of the proposals
+are accepted.
+
+The acceptance reads a uniform U lazily, 64 bits per word: after j words U
+lies in [N, N + 1) * 2**-64j, and the decision is taken at the first j at
+which that interval excludes t, by the side it lies on.  A float screen,
+:func:`_log_bounds`, bounds ln t by Stirling's series and decides wherever
+the interval clears those bounds; elsewhere exact integers decide, with
+t = 2**g * (a!/(a - d)!) / ((a + d)!/a!) for d = |D|.  Both read the same
+words and take the same decision, so the draw is exact.
 """
 
 from __future__ import annotations
@@ -58,11 +84,46 @@ _MIX2 = 0x94D049BB133111EB
 _TO_UNIT = 2.0**-53
 _BLOCK = 1 << 16
 
+_LN2 = math.log(2.0)
+
 
 def _scramble(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _width(a: int) -> int:
+    """The proposal width W = isqrt(ceil(2 ln 2 * a)) + 1 of Binomial(2a, 1/2):
+    W**2 > 2a ln 2 gives W (W - ln 2) >= a ln 2, so no acceptance exceeds 1."""
+    return math.isqrt(math.ceil(2 * _LN2 * a)) + 1
+
+
+def _log_bounds(a: int, d: int, g: int) -> tuple[float, float]:
+    """Float bounds low <= ln t <= high on t = r(d) * 2**g, 0 <= d <= a, where
+    r(d) = C(2a, a + d) / C(2a, a).
+
+    For 2d <= a, Stirling's series ln n! = n ln n - n + ln(2 pi n)/2
+    + 1/(12 n) - R(n), 0 < R(n) < 1/(360 n**3), gives, with x = d/a,
+
+        ln r(d) = -2d atanh(x) - (a + 1/2) log1p(-x**2)
+                  + (2/a - 1/(a + d) - 1/(a - d)) / 12
+
+    within 1/(180 (a - d)**3), and the bounds widen that by 2**-40 of the
+    size of the terms, plus 2**-40: far beyond the rounding of the few float
+    operations here and in the comparisons with them, each within a few
+    units of 2**-53, and of x, whose terms are well conditioned for x <= 1/2.
+    For 2d > a only r(d) <= exp(-d**2 / (a + d)) is used, an upper bound.
+    """
+    shift = g * _LN2
+    if 2 * d > a:
+        drop = d * d / (a + d)
+        return -math.inf, shift - drop + (shift + drop + 1) * 2**-40
+    x = d / a
+    spread, fold = 2 * d * math.atanh(x), (a + 0.5) * math.log1p(-x * x)
+    estimate = shift - spread - fold + (2 / a - 1 / (a + d) - 1 / (a - d)) / 12
+    margin = (shift + spread - fold + 1) * 2**-40 + 1 / (180 * (a - d) ** 3)
+    return estimate - margin, estimate + margin
 
 
 def check_seed(seed: int) -> None:
@@ -106,13 +167,14 @@ class RandomStream:
         return out
 
     def count_below(self, n: int, p: float) -> int:
-        """How many of n trials draw a uniform below p, from about n/32 words.
+        """How many of n trials draw a uniform below p, in O(1) expected words
+        for each bit of the threshold.
 
         The count is exactly Binomial(n, k * 2**-53) with k = ceil(p * 2**53),
         the law of comparing n 53-bit uniforms with p: see the module
-        docstring for the bisection.  It draws about n/32 words, plus at most
-        one partial word per bit of k, and advances the stream by the words
-        drawn; p = 0 and p = 1 draw nothing.  Memory is flat in n.
+        docstring for the walk over the bits of k and its Binomial(m, 1/2)
+        draws.  It advances the stream by the words drawn, a number that
+        does not grow with n; p = 0 and p = 1 draw nothing.
         """
         if n < 0:
             raise ValueError(f"count must be >= 0, got {n}")
@@ -124,7 +186,7 @@ class RandomStream:
         count, tied, bit = 0, n, 1 << 53
         while tied and k:
             bit >>= 1
-            zeros = tied - self._ones(tied)
+            zeros = self._half_binomial(tied)
             if k & bit:
                 k ^= bit
                 count += zeros
@@ -133,19 +195,60 @@ class RandomStream:
                 tied = zeros
         return count
 
-    def _ones(self, m: int) -> int:
-        """Set bits among the next m fair bits: the m // 64 next whole words,
-        then the low m % 64 bits of one more word."""
-        whole, rest = divmod(m, 64)
-        ones = 0
-        if whole:
-            import numpy as np
+    def _half_binomial(self, m: int) -> int:
+        """One exact Binomial(m, 1/2) draw; m = 0 draws nothing."""
+        a, odd = divmod(m, 2)
+        x = a + (self.next_uint64() & 1) if odd else a
+        if not a:
+            return x
+        width = _width(a)
+        while True:
+            g, d = self._propose(width)
+            if abs(d) <= a and self._accept(a, abs(d), g):
+                return x + d
 
-            for words in self._word_blocks(whole):
-                ones += int(np.bitwise_count(words, out=words).sum())
-        if rest:
-            ones += (self.next_uint64() & ((1 << rest) - 1)).bit_count()
-        return ones
+    def _propose(self, width: int) -> tuple[int, int]:
+        """A block index g with P(g) = 2**-(g + 1), and the signed offset
+        g*width + u or -(g*width + u + 1), u uniform on [0, width)."""
+        g, word = 0, self.next_uint64()
+        while not word:
+            g, word = g + 64, self.next_uint64()
+        g += (word & -word).bit_length() - 1
+        count = width.bit_length() // 64 + 1  # words for the sign bit and u
+        limit = (1 << 64 * count - 1) - (1 << 64 * count - 1) % width
+        while True:
+            word = 0
+            for _ in range(count):
+                word = word << 64 | self.next_uint64()
+            if word >> 1 < limit:
+                break
+        d = g * width + (word >> 1) % width
+        return g, -1 - d if word & 1 else d
+
+    def _accept(self, a: int, d: int, g: int) -> bool:
+        """Whether a uniform U, read from the next words, falls below
+        t = r(d) * 2**g, for 0 <= d <= a and t <= 1."""
+        low, high = _log_bounds(a, d, g)
+        n, bits = self.next_uint64(), 64
+        while True:  # U in [n, n + 1) * 2**-bits, and ln t in [low, high]
+            top = math.log(n + 1) - bits * _LN2
+            if top < low:
+                return True
+            if n:
+                if math.log(n) - bits * _LN2 > high:
+                    return False
+                break
+            if top <= high:
+                break
+            n, bits = self.next_uint64(), bits + 64  # 0 < t < top: read on
+        # the screen cannot tell: compare U with t in integers
+        num, den = math.perm(a, d) << g, math.perm(a + d, d)
+        while True:
+            if (n + 1) * den <= num << bits:
+                return True
+            if n * den >= num << bits:
+                return False
+            n, bits = n << 64 | self.next_uint64(), bits + 64
 
     def _word_blocks(self, n: int) -> Iterator[np.ndarray]:
         """The next n words, in blocks of at most _BLOCK, advancing the stream.

@@ -28,8 +28,8 @@ simulate() runs the cycle as a Monte Carlo over bit correctness with the
 repo's counter-based stream, so results are reproducible from the seed
 alone.  Only the number of correct trials matters, and the stream draws it
 as one Binomial(n, q) count, q being 1 - eps rounded up to a multiple of
-2**-53 (:meth:`RandomStream.count_below`), from about n/32 words: memory
-stays flat in the number of trials and time is linear in it.
+2**-53 (:meth:`RandomStream.count_below`): neither memory nor time grows
+with the number of trials.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ from the package under test: direct entropy formulas, the four-cell
 Shannon sum, golden-section search, the law formulas at angles reduced by
 the IEEE remainder with a compass search over them, numpy's Kronecker
 product and eigensolver, the csv module's reader of table laws, and
-RandomStream.count_below's bisection on the stream's scalar words with
-int.bit_count.  Tests compare package output against these routes.
+RandomStream.count_below's walk on the stream's scalar words with each
+Binomial(m, 1/2) acceptance decided by binomial coefficients in exact
+integers.  Tests compare package output against these routes.
 """
 
 import csv
@@ -101,16 +102,69 @@ def binomial_tail_mp(n: int, p, k: int, upper: bool):
         return total
 
 
+def uniform_below(stream, num: int, den: int) -> bool:
+    """Whether a uniform U in [0, 1), read 64 bits per word from ``stream``
+    until its digits decide, lies below num / den, in integers."""
+    u, scale = stream.next_uint64(), 2**64
+    while u * den < num * scale < (u + 1) * den:
+        u, scale = u * 2**64 + stream.next_uint64(), scale * 2**64
+    return (u + 1) * den <= num * scale
+
+
+def half_binomial_reference(stream, m: int) -> int:
+    """RandomStream._half_binomial's Binomial(m, 1/2) draw on ``stream``'s
+    scalar words, with every acceptance decided in exact integers.
+
+    An odd m adds the low bit of one word to the draw for m - 1.  For
+    m = 2a >= 2 a proposal reads a block index g, the trailing zeros of a
+    word (64 more for each zero word), then, from the next c words taken
+    together (c of them so that 64c - 1 bits hold [0, W), and again while
+    their top 64c - 1 bits reach the largest multiple of W below 2**(64c - 1)),
+    the sign bit s (the low bit) and u (the other bits mod W), with the
+    package's float width W = isqrt(ceil(2 ln 2 * a)) + 1.  Its offset
+    D = g W + u, or -(g W + u + 1) for s = 1, is rejected if |D| > a;
+    otherwise U, read 64 bits per word, is compared with
+    t = 2**g C(2a, a + |D|) / C(2a, a) until the digits read decide U < t.
+    """
+    a, odd = divmod(m, 2)
+    x = a + stream.next_uint64() % 2 if odd else a
+    if a == 0:
+        return x
+    width = math.isqrt(math.ceil(2.0 * math.log(2.0) * a)) + 1
+    count = width.bit_length() // 64 + 1
+    limit = 2 ** (64 * count - 1) // width * width
+    while True:
+        word = stream.next_uint64()
+        g = 0
+        while word == 0:
+            g, word = g + 64, stream.next_uint64()
+        while word % 2 == 0:
+            g, word = g + 1, word // 2
+        while True:
+            word = 0
+            for _ in range(count):
+                word = word * 2**64 + stream.next_uint64()
+            if word // 2 < limit:
+                break
+        offset = g * width + word // 2 % width
+        d = offset + 1 if word % 2 else offset
+        if d > a:
+            continue
+        # C(2a, a + d) / C(2a, a) = (a! / (a - d)!) / ((a + d)! / a!)
+        if uniform_below(stream, 2**g * math.perm(a, d), math.perm(a + d, d)):
+            return x - d if word % 2 else x + d
+
+
 def count_below_reference(seed: int, n: int, p: float):
-    """RandomStream.count_below's bisection on scalar words, bit by bit of
+    """RandomStream.count_below's walk on scalar words, bit by bit of
     k = ceil(p * 2**53) taken in exact rational arithmetic.
 
-    At each bit of k from bit 52 down, the tied trials read one fair bit
-    each: tied // 64 words of RandomStream(seed).next_uint64(), then the low
-    tied % 64 bits of one more, counted with int.bit_count.  A 1 bit of k
-    counts the tied zeros and keeps the ones tied; a 0 bit keeps the zeros.
-    The walk stops when nothing is tied or k has no set bit at or below the
-    current one.  Returns the count and the stream after the last draw.
+    At each bit of k from bit 52 down, the number Z of tied trials whose
+    next bit is 0 is drawn by half_binomial_reference on
+    RandomStream(seed).  A 1 bit of k counts those Z and keeps the others
+    tied; a 0 bit keeps only the Z.  The walk stops when nothing is tied or k
+    has no set bit at or below the current one.  Returns the count and the
+    stream after the last draw.
     """
     stream = RandomStream(seed)
     k = math.ceil(Fraction(p) * 2**53)
@@ -120,12 +174,9 @@ def count_below_reference(seed: int, n: int, p: float):
     for level in range(52, -1, -1):
         if tied == 0 or k % 2 ** (level + 1) == 0:
             break
-        ones = sum(stream.next_uint64().bit_count() for _ in range(tied // 64))
-        if tied % 64:
-            ones += (stream.next_uint64() % 2 ** (tied % 64)).bit_count()
-        zeros = tied - ones
+        zeros = half_binomial_reference(stream, tied)
         if k >> level & 1:
-            count, tied = count + zeros, ones
+            count, tied = count + zeros, tied - zeros
         else:
             tied = zeros
     return count, stream

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -966,6 +967,43 @@ class TestStdStreams:
         message = f"corrwork: i/o error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
         assert child == (cli.EXIT_IO, None, message)
 
+    @BUFFERING
+    def test_version_to_a_closed_stdout_is_an_io_error(self, tmp_path, unbuffered):
+        # argparse's own version action would print it on stderr and exit 0
+        child = run_module_child(["--version"], tmp_path,
+                                 env={"PYTHONUNBUFFERED": unbuffered},
+                                 stdout=subprocess.DEVNULL, preexec_fn=closing(1))
+        message = f"corrwork: i/o error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+        assert child == (cli.EXIT_IO, None, message)
+
+    @needs_dev_full
+    @BUFFERING
+    def test_version_to_a_full_stdout_is_an_io_error(self, tmp_path, unbuffered):
+        with open("/dev/full", "w") as full:
+            child = run_module_child(["--version"], tmp_path,
+                                     env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+        message = f"corrwork: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert child == (cli.EXIT_IO, None, message)
+
+    def test_sweep_to_a_broken_pipe_keeps_its_complete_file(self, capsys, tmp_path):
+        # stdout is a pipe whose read end is closed: the "wrote ... rows" line
+        # meets EPIPE (Python ignores SIGPIPE), after the file is in place
+        argv = ["sweep", "--law", "quantum", "--steps", "1001", "--out", "s.csv"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, _, err = run_module_child(argv, tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert code == cli.EXIT_IO
+        assert err == f"corrwork: i/o error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert os.listdir(tmp_path) == ["s.csv"]
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        argv[-1] = str(expected / "s.csv")
+        assert run(capsys, *argv)[0] == cli.EXIT_OK
+        assert (tmp_path / "s.csv").read_bytes() == (expected / "s.csv").read_bytes()
+
     def test_sweep_to_a_closed_stdout_keeps_its_complete_file(self, capsys, tmp_path):
         argv = ["sweep", "--law", "quantum", "--steps", "1001", "--out", "s.csv"]
         code, _, err = run_module_child(argv, tmp_path, stdout=subprocess.DEVNULL,
@@ -1040,14 +1078,21 @@ class TestProcessBoundary:
         table = tmp_path / "law.csv"
         table.write_text("theta_radians,e\n0.0,-1.0\n1.0,0.25\n3.0,0.75\n",
                          encoding="utf-8")
+        # szilard's count takes O(1) words a bit, in pure Python, at any --trials;
+        # decimal (loaded by fractions) would cost every child its import too
         code = (
             "import sys\n"
             "import corrwork.cli as cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
+            "assert 'decimal' not in sys.modules and 'fractions' not in sys.modules\n"
             "for argv in (['hierarchy'], ['chsh', '--law', 'quantum'],\n"
             "             ['energetic-chsh', '--law', 'classical'], ['robustness'],\n"
             "             ['optimize-chsh', '--law', 'quantum'],\n"
-            f"             ['optimize-chsh', '--law', {f'table:{table}'!r}]):\n"
+            f"             ['optimize-chsh', '--law', {f'table:{table}'!r}],\n"
+            "             ['szilard', '--epsilon', '0.1', '--optimal',\n"
+            "              '--trials', '50000000'],\n"
+            "             ['szilard', '--epsilon', '0.1', '--x', '0.5',\n"
+            "              '--trials', '50000000']):\n"
             "    assert cli.main(argv) == 0\n"
             "    assert 'numpy' not in sys.modules, argv\n"
         )
@@ -1189,6 +1234,31 @@ class TestProcessBoundary:
             cli.write_sweep_csv(rows, str(tmp_path / "missing" / "s.csv"))
         assert exc.value.errno == errno.ENOENT
 
+    def test_sweep_refuses_a_target_that_is_not_a_regular_file(self, capsys, tmp_path):
+        # the rename would replace the FIFO; it is refused before a temporary
+        # file exists, and never opened, so nothing blocks on it
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, "sweep", "--law", "quantum", "--steps", "3",
+                             "--out", str(fifo))
+        assert (code, out) == (cli.EXIT_IO, "")
+        assert err == f"corrwork: i/o error: cannot write sweep to {fifo}: not a regular file\n"
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_interrupted_sweep_leaves_nothing(self, tmp_path):
+        # a KeyboardInterrupt from the rows after the first block is re-raised,
+        # and neither the temporary file nor the output is left behind
+        first = next(cli.build_sweep(CorrelationLaw("quantum"), 0.0, 1.0, 3))
+
+        def rows():
+            yield first
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cli.write_sweep_csv(rows(), str(tmp_path / "s.csv"))
+        assert os.listdir(tmp_path) == []
+
     def test_package_version_is_the_cli_version(self, capsys):
         pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -1215,8 +1285,7 @@ class TestBlasThreads:
     CHILD = (
         "import json, os, sys\n"
         "from corrwork import cli\n"
-        "assert cli.main(['szilard', '--epsilon', '0.1', '--x', '0.5',\n"
-        "                 '--trials', '1000']) == 0\n"
+        "assert cli.main(['verify']) == 0\n"
         "assert 'numpy' in sys.modules\n"
         "tasks = os.listdir('/proc/self/task') if sys.platform == 'linux' else []\n"
         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), len(tasks)]))\n"

@@ -1,5 +1,5 @@
 """The counter-based stream: determinism, block equivalence, derivation,
-and the bisection count of trials below a threshold."""
+the exact Binomial(m, 1/2) draw, and the count of trials below a threshold."""
 
 import math
 from collections import Counter
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrwork.rng import _BLOCK as B, _GAMMA, _MASK64, RandomStream
+from corrwork.rng import _BLOCK as B, _GAMMA, _MASK64, RandomStream, _log_bounds, _width
 
-from oracles import count_below_reference
+from oracles import count_below_reference, uniform_below
 
 BOUNDARY_SIZES = [0, 1, B - 1, B, B + 1, 2 * B + 1]
 
@@ -49,50 +49,185 @@ def test_block_matches_scalar_across_block_boundaries(n):
     assert block.next_uniform() == scalar.next_uniform()
 
 
-def _count_by_trials(seed, n, p):
-    """count_below's experiment trial by trial, on a twin stream drawn in
-    blocks: at each bit of k = ceil(p * 2**53) the tied trials, in order, read
-    the bits of the next ceil(tied / 64) words, low bit first, and each leaves
-    the tie below k (counted) or above it at the first bit where it differs
-    from k.  Returns the count and the twin stream."""
-    twin = RandomStream(seed)
-    k = math.ceil(p * 2**53)
-    if k == 2**53:
-        return n, twin
-    tied = np.arange(n)
-    below = np.zeros(n, dtype=bool)
-    for level in range(52, -1, -1):
-        if not len(tied) or k % 2 ** (level + 1) == 0:
-            break
-        words = np.array([twin.next_uint64() for _ in range(-(-len(tied) // 64))],
-                         dtype="<u8")
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")[:len(tied)]
-        kbit = k >> level & 1
-        below[tied[bits < kbit]] = True
-        tied = tied[bits == kbit]
-    return int(np.count_nonzero(below)), twin
-
-
 def _words_drawn(stream, seed):
     """Words a stream seeded with ``seed`` has drawn, read off its counter."""
     return (stream._state - seed) * pow(_GAMMA, -1, 2**64) & _MASK64
 
 
+class ScriptedStream(RandomStream):
+    """A stream that returns ``words`` first, then the words of its seed."""
+
+    __slots__ = ("_script",)
+
+    def __init__(self, words, seed=0):
+        super().__init__(seed)
+        self._script = list(reversed(words))
+
+    def next_uint64(self):
+        return self._script.pop() if self._script else super().next_uint64()
+
+
+#: an upper bound on ln 2, so that W (W - ln 2) >= a ln 2 holds with it
+LN2_ABOVE = Fraction(6931471805599454, 10**16)
+
+
+def target(a, d, g):
+    """t = 2**g C(2a, a + d) / C(2a, a), the acceptance probability of offset d."""
+    return Fraction(2**g * math.comb(2 * a, a + d), math.comb(2 * a, a))
+
+
+def accepts_below(a, d, g):
+    """The acceptance as a function of U, probed at 128 bits: whether _accept
+    takes the U just below t and leaves those at and just above it."""
+    t = target(a, d, g)
+    edge = math.floor(t * 2**128)  # U in [edge, edge + 1) * 2**-128 holds t
+    probes = [(edge - 1, True), (edge + 1, False)]
+    if edge == t * 2**128:
+        probes.append((edge, False))
+    return all(ScriptedStream(divmod(u, 2**64))._accept(a, d, g) is want
+               for u, want in probes if 0 <= u < 2**128)
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_proposal_mass_times_acceptance_is_binomial(m):
+    # every proposal (g, s, u) of Binomial(2a, 1/2), 2a = m or m - 1, is read
+    # off scripted words: g from a word of g trailing zeros, (u, s) from the
+    # word 2u + s; D has mass 2**-(g + 1) / 2W, and its acceptance, probed at
+    # the edge of the uniform, is t; mass times t is C(2a, a + D) / 4**a
+    # up to a constant, so the normalised law is Binomial(2a, 1/2) exactly
+    a = m // 2
+    pmf = {0: Fraction(1)}
+    if a:
+        w = _width(a)
+        assert w * (w - LN2_ABOVE) >= a * LN2_ABOVE  # so that t <= 1
+        mass = Counter()
+        for g in range(-(-(a + 1) // w) + 1):
+            for s in (0, 1):
+                for u in range(w):
+                    assert ScriptedStream([1 << g, 2 * u + s])._propose(w) == (
+                        g, -(g * w + u + 1) if s else g * w + u)
+                    d = -(g * w + u + 1) if s else g * w + u
+                    if abs(d) <= a:
+                        t = target(a, abs(d), g)
+                        assert t <= 1 and accepts_below(a, abs(d), g), (a, d, g)
+                        mass[d] += Fraction(1, 2**(g + 1) * 2 * w) * t
+        total = sum(mass.values())
+        pmf = {a + d: p / total for d, p in mass.items()}
+        assert pmf == {j: Fraction(math.comb(2 * a, j), 4**a) for j in range(2 * a + 1)}
+    if m % 2:
+        # the low bit of the first word is added to the draw for m - 1
+        accepted = [1, 0, 2**64 - 1]  # g = 0, u = s = 0 (D = 0), U near 1
+        draws = {ScriptedStream([bit, *accepted])._half_binomial(m) for bit in (2, 3)}
+        assert draws == {a, a + 1}
+        pmf = {j: (pmf.get(j, 0) + pmf.get(j - 1, 0)) / 2 for j in range(m + 1)}
+    assert pmf == {j: Fraction(math.comb(m, j), 2**m) for j in range(m + 1)}
+
+
+def test_a_wide_offset_joins_words():
+    # W >= 2**64, from about 4e38 trials: s and u come from two words joined
+    # with the first highest, drawn again while their top 127 bits reach
+    # the largest multiple of W below 2**127
+    w = 2**70 + 3
+    limit = 2**127 // w * w
+    high, low = divmod(2 * limit + 1, 2**64)  # top 127 bits at the limit: drawn again
+    hi2, lo2 = 7, 2 * 999 + 1  # s = 1, u = (7 * 2**63 + 999) mod W
+    stream = ScriptedStream([8, high, low, hi2, lo2, 42])
+    u = ((hi2 << 64 | lo2) >> 1) % w
+    assert stream._propose(w) == (3, -(3 * w + u + 1))
+    assert stream.next_uint64() == 42
+
+
+@pytest.mark.parametrize("a, d, g", [
+    (1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 3, 1), (50, 25, 0), (50, 26, 3),
+    (10**6, 0, 0), (10**6, 700, 0), (10**6, 1500, 1), (10**6, 6000, 3),
+    (2.5e7, 5900, 1), (10**9, 26000, 0), (10**12, 2 * 10**6, 1), (10**18, 10**9, 1),
+])
+def test_log_bounds_hold_the_log_of_the_target(a, d, g):
+    a = int(a)
+    low, high = _log_bounds(a, d, g)
+    with mpmath.workdps(60):
+        exact = (g * mpmath.log(2) + 2 * mpmath.loggamma(a + 1)
+                 - mpmath.loggamma(a + d + 1) - mpmath.loggamma(a - d + 1))
+        assert low <= exact <= high, (low, exact, high)
+    if 2 * d <= a and a >= 10**6:
+        # narrow enough that the integer route runs about once in 1e9 proposals
+        assert high - low <= 1e-9, high - low
+
+
+@st.composite
+def acceptances(draw):
+    """(a, d, g) of a proposal that reaches the acceptance, with t <= 1."""
+    a = draw(st.one_of(st.integers(1, 64), st.integers(1, 5000)))
+    d = draw(st.integers(0, a))
+    g = draw(st.integers(0, d // _width(a)))
+    return a, d, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=acceptances(), seed=st.integers(0, 2**64 - 1),
+       first=st.one_of(st.none(), st.just("zero"), st.integers(-3, 3)))
+def test_screened_acceptance_is_the_integer_acceptance(case, seed, first):
+    # the first word is the seed's own, or 0, which leaves U's interval at
+    # [0, 2**-64), or within 3 of t * 2**64, where the float screen cannot
+    # decide and the integers must
+    a, d, g = case
+    words = []
+    if first == "zero":
+        words = [0]
+    elif first is not None:
+        edge = math.floor(target(a, d, g) * 2**64) + first
+        words = [min(max(edge, 0), 2**64 - 1)]
+    screened, exact = ScriptedStream(words, seed), ScriptedStream(words, seed)
+    t = target(a, d, g)
+    assert screened._accept(a, d, g) == uniform_below(exact, t.numerator, t.denominator)
+    assert screened.next_uint64() == exact.next_uint64()  # the same words read
+
+
+def test_an_undecided_screen_reads_on_in_integers():
+    # U's first 64 bits are those of t: only later words can tell U from t
+    a, d, g = 5000, 60, 0
+    edge = math.floor(target(a, d, g) * 2**64)
+    for tail, want in ((0, True), (2**64 - 1, False)):
+        stream = ScriptedStream([edge, tail, 12345])
+        assert stream._accept(a, d, g) is want
+        assert stream.next_uint64() == 12345
+
+
+@pytest.mark.parametrize("m", [5000, 5001])
+def test_half_binomial_follows_the_exact_pmf(m):
+    # chi-square of 20000 seeded draws against C(m, j) / 2**m, pooling the
+    # tails below an expectation of 5; the seeds are fixed, so is the statistic
+    runs = 20_000
+    seeds = RandomStream(37)
+    observed = Counter(RandomStream(seeds.next_uint64())._half_binomial(m)
+                       for _ in range(runs))
+    expected = [runs * Fraction(math.comb(m, j), 2**m) for j in range(m + 1)]
+    lo = next(j for j in range(m + 1) if expected[j] >= 5)
+    hi = m - lo
+    bins = [(sum(expected[:lo]), sum(observed[j] for j in range(lo))),
+            *((expected[j], observed[j]) for j in range(lo, hi + 1)),
+            (sum(expected[hi + 1:]), sum(observed[j] for j in range(hi + 1, m + 1)))]
+    chi2 = sum(float((o - e) ** 2 / e) for e, o in bins)
+    dof = len(bins) - 1
+    assert mpmath.gammainc(dof / 2, chi2 / 2, mpmath.inf, regularized=True) > 1e-3, chi2
+
+
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
 def test_count_below_matches_block_twin(n, p):
+    # at the block-boundary sizes, the count and the words it draws are those
+    # of the all-integer walk on a twin stream of the same seed
     counted = RandomStream(31)
     got = counted.count_below(n, p)
     if p in (0.0, 1.0):
         assert (got, _words_drawn(counted, 31)) == (n * p, 0)
-    want, twin = _count_by_trials(31, n, p)
+    want, twin = count_below_reference(31, n, p)
     assert got == want
-    # the count drew exactly the twin's words
     assert counted.next_uint64() == twin.next_uint64()
 
 
-#: trial counts of a few words, and counts whose first level of words ends
-#: within a few words of one block of words
+#: small trial counts, whose draws often take the integer route, and
+#: counts of millions
 TRIALS = st.one_of(
     st.integers(min_value=0, max_value=5 * 64),
     st.integers(min_value=64 * B - 300, max_value=64 * B + 300),
@@ -137,21 +272,21 @@ def test_count_below_is_exact_at_the_threshold(k):
 
 @pytest.mark.parametrize("seed", [0, 53, 2**64 - 1])
 @pytest.mark.parametrize("p", [0.75, 0.6859])
-def test_count_below_draws_about_n_over_32_words(seed, p):
-    # half the tied trials leave at each bit of k, so the levels draw about
-    # 2n/64 words in all, plus at most one partial word on each of 53 bits;
-    # n/16 + 106 leaves a factor of two on the first term
-    n = 10**6
-    stream = RandomStream(seed)
-    stream.count_below(n, p)
-    words = _words_drawn(stream, seed)
-    assert words <= n // 16 + 106
+def test_count_below_draws_words_bounded_in_n(seed, p):
+    # each bit of k costs one Binomial(m, 1/2) draw of O(1) expected words
+    # whatever m is: about 2.7 proposals of about 3 words each; over 200
+    # seeds at p = 0.6859 the largest total was 448 words at n = 1e9 and 569 at
+    # n = 1e18, so 1200 leaves a factor of two, and the same bound holds for
+    # every n
+    for n in (10**9, 10**18, 10**40):
+        stream = RandomStream(seed)
+        stream.count_below(n, p)
+        assert _words_drawn(stream, seed) <= 1200, n
     if p == 0.75:
-        # k = 3 * 2**51: n // 64 words for bit 52, and one bit for bit 51 for
-        # each trial whose first bit was 1; k has no set bit below
-        first = RandomStream(seed)
-        ones = sum(first.next_uint64().bit_count() for _ in range(n // 64))
-        assert words == n // 64 + -(-ones // 64)
+        # k = 3 * 2**51 has two set bits: the walk stops after two draws
+        stream = RandomStream(seed)
+        stream.count_below(10**9, p)
+        assert _words_drawn(stream, seed) <= 100
 
 
 @pytest.mark.parametrize("p", [0.75, 0.3])
