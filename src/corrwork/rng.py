@@ -13,13 +13,7 @@ scramble of the counter:
     output  <- z XOR (z >> 31)
 
 Uniform doubles in [0, 1) take the top 53 bits: (output >> 11) * 2**-53.
-
-Because the state is a pure counter, a block of n draws equals n sequential
-scalar draws.  The array path exploits that: it scrambles the words of
-``state + (i + 1) * 0x9E3779B97F4A7C15`` in blocks of at most 2^16, each
-block in place in one reused buffer, so its working memory does not grow
-with n.  :meth:`RandomStream.uniform_block` turns those words into the same
-doubles as the scalar path.
+Every word is drawn one at a time, by :meth:`RandomStream.next_uint64`.
 
 :meth:`RandomStream.count_below` counts how many of n trials draw a uniform
 u = j * 2**-53 below p, with j uniform on [0, 2**53).  Since p * 2**53 is
@@ -48,8 +42,7 @@ a block index g, an offset u and a sign s:
        it, so that P(g) = 2**-(g + 1);
     s, u  the low bit of the next word whose top 63 bits fall below the
        largest multiple of W = isqrt(ceil(2 ln 2 * a)) + 1 under 2**63, and
-       those 63 bits mod W, uniform on [0, W) (a W of 64 bits or more takes
-       as many words as it needs, joined with the first word highest);
+       those 63 bits mod W, uniform on [0, W);
     D  g*W + u for s = 0, and -(g*W + u + 1) for s = 1, so that 0 is
        proposed once;
 
@@ -57,7 +50,8 @@ and accepted with probability t = r(|D|) * 2**g, so that each D has mass
 r(|D|) / 4W, in proportion to C(2a, a + D).  A |D| > a has r = 0 and is
 rejected without a draw.  r(d) <= exp(-d**2 / (a + d)), and
 W (W - ln 2) >= a ln 2, so t <= 1; for large a about 0.38 of the proposals
-are accepted.
+are accepted.  Counts lie in [0, 2**64), so a < 2**63, W < 2**32, and one
+word holds s and u.
 
 The acceptance reads a uniform U lazily, 64 bits per word: after j words U
 lies in [N, N + 1) * 2**-64j, and the decision is taken at the first j at
@@ -71,7 +65,7 @@ words and take the same decision, so the draw is exact.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,7 +76,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _TO_UNIT = 2.0**-53
-_BLOCK = 1 << 16
 
 _LN2 = math.log(2.0)
 
@@ -126,16 +119,32 @@ def _log_bounds(a: int, d: int, g: int) -> tuple[float, float]:
     return estimate - margin, estimate + margin
 
 
+def _check_int(value: int, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def check_seed(seed: int) -> None:
     """Seeds are ints, not bools, in [0, 2**64): no two share a stream."""
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    _check_int(seed, "seed")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
+def check_count(n: int, name: str = "count", least: int = 0) -> None:
+    """Counts are ints, not bools, in [least, 2**64), the seed's domain: a
+    count of trials below 2**64 keeps every proposal of
+    :meth:`RandomStream.count_below` within one word."""
+    _check_int(n, name)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    if n > _MASK64:
+        raise ValueError(f"{name} must be below 2**64, got {n}")
+
+
 class RandomStream:
-    """SplitMix64 stream with scalar and bit-identical block output."""
+    """SplitMix64 stream: words drawn one at a time, the uniforms they give,
+    and exact counts of trials below a threshold."""
 
     __slots__ = ("_state0", "_state")
 
@@ -153,18 +162,13 @@ class RandomStream:
         return (self.next_uint64() >> 11) * _TO_UNIT
 
     def uniform_block(self, n: int) -> np.ndarray:
-        """n uniforms as one array, identical to n next_uniform() calls."""
+        """n uniforms as one array, identical to n next_uniform() calls (no
+        routine of the package calls it)."""
         import numpy as np
 
         if n < 0:
             raise ValueError(f"block size must be >= 0, got {n}")
-        out = np.empty(n, dtype=np.float64)
-        start = 0
-        for words in self._word_blocks(n):
-            words >>= np.uint64(11)
-            np.multiply(words, _TO_UNIT, out=out[start:start + len(words)])
-            start += len(words)
-        return out
+        return np.fromiter((self.next_uniform() for _ in range(n)), np.float64, n)
 
     def count_below(self, n: int, p: float) -> int:
         """How many of n trials draw a uniform below p, in O(1) expected words
@@ -174,10 +178,10 @@ class RandomStream:
         the law of comparing n 53-bit uniforms with p: see the module
         docstring for the walk over the bits of k and its Binomial(m, 1/2)
         draws.  It advances the stream by the words drawn, a number that
-        does not grow with n; p = 0 and p = 1 draw nothing.
+        does not grow with n; p = 0 and p = 1 draw nothing.  n is an int
+        in [0, 2**64) (:func:`check_count`).
         """
-        if n < 0:
-            raise ValueError(f"count must be >= 0, got {n}")
+        check_count(n)
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"threshold {p!r} outside [0, 1]")
         k = math.ceil(p * 2.0**53)
@@ -209,19 +213,16 @@ class RandomStream:
 
     def _propose(self, width: int) -> tuple[int, int]:
         """A block index g with P(g) = 2**-(g + 1), and the signed offset
-        g*width + u or -(g*width + u + 1), u uniform on [0, width)."""
+        g*width + u or -(g*width + u + 1), u uniform on [0, width) for a
+        width below 2**63, drawn with the sign from one word."""
         g, word = 0, self.next_uint64()
         while not word:
             g, word = g + 64, self.next_uint64()
         g += (word & -word).bit_length() - 1
-        count = width.bit_length() // 64 + 1  # words for the sign bit and u
-        limit = (1 << 64 * count - 1) - (1 << 64 * count - 1) % width
-        while True:
-            word = 0
-            for _ in range(count):
-                word = word << 64 | self.next_uint64()
-            if word >> 1 < limit:
-                break
+        limit = (1 << 63) - (1 << 63) % width
+        word = self.next_uint64()
+        while word >> 1 >= limit:  # the sign bit and u, drawn again past limit
+            word = self.next_uint64()
         d = g * width + (word >> 1) % width
         return g, -1 - d if word & 1 else d
 
@@ -249,34 +250,6 @@ class RandomStream:
             if n * den >= num << bits:
                 return False
             n, bits = n << 64 | self.next_uint64(), bits + 64
-
-    def _word_blocks(self, n: int) -> Iterator[np.ndarray]:
-        """The next n words, in blocks of at most _BLOCK, advancing the stream.
-
-        Every block is the same reused buffer (a shorter view of it for the
-        last block), valid until the next block is requested.
-        """
-        import numpy as np
-
-        size = min(n, _BLOCK)
-        steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        words = np.empty(size, dtype=np.uint64)
-        scratch = np.empty(size, dtype=np.uint64)
-        mix1, mix2 = np.uint64(_MIX1), np.uint64(_MIX2)
-        for start in range(0, n, _BLOCK):
-            k = min(size, n - start)
-            z, t = words[:k], scratch[:k]
-            np.add(steps[:k], np.uint64(self._state), out=z)
-            self._state = (self._state + k * _GAMMA) & _MASK64
-            np.right_shift(z, np.uint64(30), out=t)
-            z ^= t
-            z *= mix1
-            np.right_shift(z, np.uint64(27), out=t)
-            z ^= t
-            z *= mix2
-            np.right_shift(z, np.uint64(31), out=t)
-            z ^= t
-            yield z
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self._state0:#x})"

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .information import LN2, mutual_information
 from .laws import _Frozen, _set
-from .rng import RandomStream, check_seed
+from .rng import RandomStream, check_count, check_seed
 
 
 def _check_error_prob(eps: float) -> None:
@@ -58,6 +58,7 @@ class EngineConfig(_Frozen):
 
     The partition fraction lies in (0, 1), or is 1 when 1 - error_prob
     rounds to 1: the boundary optimum, whose wrong branch is never drawn.
+    The trials are an int in [1, 2**64), as RandomStream.count_below takes.
     """
 
     __slots__ = ("error_prob", "partition_fraction", "trials", "seed")
@@ -71,10 +72,7 @@ class EngineConfig(_Frozen):
             raise ValueError(
                 f"partition_fraction {partition_fraction!r} outside (0, 1)"
             )
-        if isinstance(trials, bool) or not isinstance(trials, int):
-            raise TypeError(f"trials must be an int, got {type(trials).__name__}")
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+        check_count(trials, "trials", least=1)
         check_seed(seed)
         _set(self, "error_prob", error_prob)
         _set(self, "partition_fraction", partition_fraction)

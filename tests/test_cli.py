@@ -553,6 +553,15 @@ class TestSzilardCommand:
         assert out == ""
         assert "trials must be >= 1" in err
 
+    @pytest.mark.parametrize("trials", [str(2**64), "1" + "0" * 310])
+    def test_trials_of_2_64_or_more_is_usage_error(self, capsys, trials):
+        # the second is beyond the float range, where the engine used to fail
+        code, out, err = run(capsys, "szilard", "--epsilon", "0.1", "--optimal",
+                             "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"trials must be below 2**64, got {trials}" in err
+
     def test_infinite_temperature_is_usage_error(self, capsys):
         code, out, err = run(capsys, "szilard", "--epsilon", "0.25", "--x", "0.75",
                              "--trials", "10", "--temperature", "inf")

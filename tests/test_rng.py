@@ -1,4 +1,4 @@
-"""The counter-based stream: determinism, block equivalence, derivation,
+"""The counter-based stream: determinism, uniform arrays, derivation,
 the exact Binomial(m, 1/2) draw, and the count of trials below a threshold."""
 
 import math
@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corrwork.rng import _BLOCK as B, _GAMMA, _MASK64, RandomStream, _log_bounds, _width
+from corrwork.rng import _GAMMA, _MASK64, RandomStream, _log_bounds, _width
 
 from oracles import count_below_reference, uniform_below
 
-BOUNDARY_SIZES = [0, 1, B - 1, B, B + 1, 2 * B + 1]
+#: sizes on either side of 2**16 and 2**17
+BOUNDARY_SIZES = [0, 1, 65535, 65536, 65537, 131073]
 
 
 def test_same_seed_same_sequence():
@@ -123,20 +124,6 @@ def test_proposal_mass_times_acceptance_is_binomial(m):
     assert pmf == {j: Fraction(math.comb(m, j), 2**m) for j in range(m + 1)}
 
 
-def test_a_wide_offset_joins_words():
-    # W >= 2**64, from about 4e38 trials: s and u come from two words joined
-    # with the first highest, drawn again while their top 127 bits reach
-    # the largest multiple of W below 2**127
-    w = 2**70 + 3
-    limit = 2**127 // w * w
-    high, low = divmod(2 * limit + 1, 2**64)  # top 127 bits at the limit: drawn again
-    hi2, lo2 = 7, 2 * 999 + 1  # s = 1, u = (7 * 2**63 + 999) mod W
-    stream = ScriptedStream([8, high, low, hi2, lo2, 42])
-    u = ((hi2 << 64 | lo2) >> 1) % w
-    assert stream._propose(w) == (3, -(3 * w + u + 1))
-    assert stream.next_uint64() == 42
-
-
 @pytest.mark.parametrize("a, d, g", [
     (1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 3, 1), (50, 25, 0), (50, 26, 3),
     (10**6, 0, 0), (10**6, 700, 0), (10**6, 1500, 1), (10**6, 6000, 3),
@@ -215,7 +202,7 @@ def test_half_binomial_follows_the_exact_pmf(m):
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 @pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
 def test_count_below_matches_block_twin(n, p):
-    # at the block-boundary sizes, the count and the words it draws are those
+    # at the boundary sizes, the count and the words it draws are those
     # of the all-integer walk on a twin stream of the same seed
     counted = RandomStream(31)
     got = counted.count_below(n, p)
@@ -230,7 +217,7 @@ def test_count_below_matches_block_twin(n, p):
 #: counts of millions
 TRIALS = st.one_of(
     st.integers(min_value=0, max_value=5 * 64),
-    st.integers(min_value=64 * B - 300, max_value=64 * B + 300),
+    st.integers(min_value=64 * 65536 - 300, max_value=64 * 65536 + 300),
 )
 
 
@@ -244,7 +231,7 @@ def test_count_below_property(seed, n, p):
     assert counted.next_uint64() == twin.next_uint64()
 
 
-@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1])
+@pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537])
 def test_count_below_matches_scalar_draws(n):
     for p in [0.0, 2.0**-53, 0.25, 0.6859, math.nextafter(1.0, 0.0), 1.0]:
         counted = RandomStream(53)
@@ -277,11 +264,14 @@ def test_count_below_draws_words_bounded_in_n(seed, p):
     # whatever m is: about 2.7 proposals of about 3 words each; over 200
     # seeds at p = 0.6859 the largest total was 448 words at n = 1e9 and 569 at
     # n = 1e18, so 1200 leaves a factor of two, and the same bound holds for
-    # every n
-    for n in (10**9, 10**18, 10**40):
+    # every n up to the largest count, 2**64 - 1
+    for n in (10**9, 10**18, 2**64 - 1):
         stream = RandomStream(seed)
         stream.count_below(n, p)
         assert _words_drawn(stream, seed) <= 1200, n
+    # the seed's domain: a larger count would need proposals wider than a word
+    with pytest.raises(ValueError, match=r"^count must be below 2\*\*64, got 18446744073709551616$"):
+        RandomStream(seed).count_below(2**64, p)
     if p == 0.75:
         # k = 3 * 2**51 has two set bits: the walk stops after two draws
         stream = RandomStream(seed)
@@ -311,6 +301,13 @@ def test_count_below_follows_the_binomial_law(p):
 def test_count_below_rejects_bad_arguments(n, p):
     with pytest.raises(ValueError):
         RandomStream(0).count_below(n, p)
+
+
+@pytest.mark.parametrize("n", [True, False, 1e6, 10.0, "10"])
+def test_count_below_takes_only_int_counts(n):
+    # True would otherwise count 1 trial, and 1e6 return a float count
+    with pytest.raises(TypeError, match=f"^count must be an int, got {type(n).__name__}$"):
+        RandomStream(0).count_below(n, 0.5)
 
 
 def test_uniforms_live_in_unit_interval():

@@ -278,3 +278,14 @@ class TestEngineConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             EngineConfig(**base)
+
+    def test_trials_lie_below_2_64(self):
+        # the seed's domain, and RandomStream.count_below's: a count beyond
+        # the float range would otherwise fail inside the engine
+        base = {"error_prob": 0.25, "partition_fraction": 0.75, "seed": 0}
+        for trials in (2**64, 10**310):
+            with pytest.raises(ValueError, match=f"^trials must be below 2\\*\\*64, got {trials}$"):
+                EngineConfig(**base, trials=trials)
+        result = simulate(EngineConfig(**base, trials=2**64 - 1))
+        assert result.n == 2**64 - 1 and 0 < result.correct < result.n
+        assert result.std_error > 0.0
