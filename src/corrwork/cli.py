@@ -12,6 +12,8 @@ Conventions:
   - work is reported in k_B*T units; pass --temperature to add joules
   - exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error,
     4 internal error (any other exception, a ValueError from the library too)
+  - all output is printed by _write, where a closed or failing stdout is exit 3,
+    or by _warn, which drops what stderr cannot take: argparse's output too
   - numpy's OpenBLAS runs single-threaded: main sets OPENBLAS_NUM_THREADS=1
     unless the environment sets it or numpy is already imported
   - sweeps are computed in blocks of SWEEP_BLOCK rows, where I(E) runs each
@@ -600,22 +602,22 @@ def _cmd_verify(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-class _Version(argparse.Action):
-    """--version: argparse's own action would fall back to stderr where
-    stdout is closed, so the version goes through _write, like every report."""
+class _Parser(argparse.ArgumentParser):
+    """argparse, printing help and version through _write and a usage error
+    through _warn, like every report; its subparsers are of this class too."""
 
-    def __call__(self, parser, namespace, values, option_string=None):
-        _write(sys.stdout, f"corrwork {__version__}\n")
-        parser.exit()
+    def _print_message(self, message, file=None):
+        _write(sys.stdout, message)  # error is overridden: only help and version
+
+    def error(self, message) -> NoReturn:
+        _warn(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="corrwork",
-        description="Correlation laws, CHSH parameters, and correlation-powered work.",
-    )
-    parser.add_argument("--version", action=_Version, nargs=0, default=argparse.SUPPRESS,
-                        help="show program's version number and exit")
+    parser = _Parser(prog="corrwork", description="Correlation laws, CHSH parameters, "
+                     "and correlation-powered work.")
+    parser.add_argument("--version", action="version", version=f"corrwork {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_law(p):
@@ -695,7 +697,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:  # argparse's --version (0) and usage errors (2)
+    except SystemExit as exc:  # argparse's help and version (0), usage errors (2)
         return exc.code
     except UsageError as exc:
         code, message = EXIT_USAGE, f"error: {exc}"

@@ -880,6 +880,27 @@ class TestVerifyCommand:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failed == ["tsirelson.eigvalsh_gap"]
 
+    def test_a_slightly_scaled_bound_fails_only_the_saturation_check(self, monkeypatch):
+        # a bound 1e-10 relative too high sits above W at the optimum by up to
+        # 7e-11, past the 1e-12 of saturation_gap, and only lowers every excess
+        optimum = cli.optimal_partition
+        monkeypatch.setattr(cli, "optimal_partition", lambda eps: optimum(eps)._replace(
+            w_opt_kT=optimum(eps).w_opt_kT * (1.0 + 1e-10)))
+        report = cli.run_verify(0)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["szilard.saturation_gap"]
+
+    def test_work_that_peaks_off_its_bound_fails_only_the_excess_check(self, monkeypatch):
+        # 10 (x - (1 - eps))**2 is 0 at the optimum, so the bound still meets W
+        # there, but it outgrows W's own curvature, 1 / (2 eps (1 - eps)), away
+        # from it for every eps above 0.053, and W crosses the bound
+        work = cli.expected_work
+        monkeypatch.setattr(cli, "expected_work",
+                            lambda eps, x: work(eps, x) + 10.0 * (x - (1.0 - eps)) ** 2)
+        report = cli.run_verify(0)
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == ["szilard.max_bound_excess"]
+
     def test_robustness_section_is_the_robustness_report(self, capsys):
         robustness = run_json(capsys, "robustness", "--anchor", "0")
         del robustness["anchor_radians"]
@@ -993,6 +1014,62 @@ class TestStdStreams:
                                      env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
         message = f"corrwork: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
         assert child == (cli.EXIT_IO, None, message)
+
+    HELP = pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "-h"]],
+                                   ids=["help", "h", "sweep-h"])
+
+    @BUFFERING
+    @HELP
+    def test_help_to_a_closed_stdout_is_an_io_error(self, tmp_path, unbuffered, argv):
+        # argparse alone would print the help on stderr and exit 0
+        child = run_module_child(argv, tmp_path, env={"PYTHONUNBUFFERED": unbuffered},
+                                 stdout=subprocess.DEVNULL, preexec_fn=closing(1))
+        message = f"corrwork: i/o error: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}\n"
+        assert child == (cli.EXIT_IO, None, message)
+
+    @needs_dev_full
+    @BUFFERING
+    @HELP
+    def test_help_to_a_full_stdout_is_an_io_error(self, tmp_path, unbuffered, argv):
+        # argparse alone would drop the failed write and exit 0, or 120 buffered
+        with open("/dev/full", "w") as full:
+            child = run_module_child(argv, tmp_path, env={"PYTHONUNBUFFERED": unbuffered},
+                                     stdout=full)
+        message = f"corrwork: i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert child == (cli.EXIT_IO, None, message)
+
+    @BUFFERING
+    def test_closed_stderr_keeps_argparses_usage_exit_code(self, tmp_path, unbuffered):
+        code, out, err = run_module_child(["chsh"], tmp_path,
+                                          env={"PYTHONUNBUFFERED": unbuffered},
+                                          stderr=subprocess.DEVNULL, preexec_fn=closing(2))
+        assert (code, out, err) == (cli.EXIT_USAGE, "", None)
+
+    @needs_dev_full
+    @BUFFERING
+    def test_full_stderr_keeps_argparses_usage_exit_code(self, tmp_path, unbuffered):
+        with open("/dev/full", "w") as full:
+            code, out, err = run_module_child(["chsh"], tmp_path,
+                                              env={"PYTHONUNBUFFERED": unbuffered},
+                                              stderr=full)
+        assert (code, out, err) == (cli.EXIT_USAGE, "", None)
+
+    @BUFFERING
+    @pytest.mark.parametrize("argv, expected", [
+        (["--help"], cli.EXIT_IO),
+        (["--version"], cli.EXIT_IO),
+        (["chsh"], cli.EXIT_USAGE),
+    ], ids=["help", "version", "usage-error"])
+    def test_closed_stdout_and_stderr_keep_the_exit_code(self, tmp_path, unbuffered, argv,
+                                                         expected):
+        def close_both():  # in the child only
+            os.close(1)
+            os.close(2)
+
+        child = run_module_child(argv, tmp_path, env={"PYTHONUNBUFFERED": unbuffered},
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                 preexec_fn=close_both)
+        assert child == (expected, None, None)
 
     def test_sweep_to_a_broken_pipe_keeps_its_complete_file(self, capsys, tmp_path):
         # stdout is a pipe whose read end is closed: the "wrote ... rows" line

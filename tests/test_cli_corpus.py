@@ -5,8 +5,8 @@ The cases run in process through cli.main, in one working directory that
 holds the input files below, so that a relative path in argv resolves there
 and no output names a temporary directory.  A few also run as fresh
 ``python -m corrwork.cli`` children, through cli.run and its exit path.
-Both run with COLUMNS=80, the width at which argparse wraps the usage line
-of a rejected command line.  A case's "files" maps each file it leaves
+Both run with COLUMNS=80, the width at which argparse wraps its help and
+the usage line of a rejected command line.  A case's "files" maps each file it leaves
 behind to its sha256; the file is removed after the case.
 
 The digests detect a change; they are not an oracle.  A change that moves
@@ -131,14 +131,15 @@ def test_every_case_replays_its_exit_code_and_stdout(monkeypatch, tmp_path):
 
 
 #: cases replayed as fresh children: a Monte Carlo, a verify, a law error
-#: (exit 2), a command line that argparse rejects (exit 2) and a sweep of a
-#: table law that writes a file
+#: (exit 2), a command line that argparse rejects (exit 2), a sweep of a
+#: table law that writes a file, and a subcommand's help
 CHILD_CASES = [
     ["szilard", "--epsilon", "0.2", "--x", "0.7", "--trials", "100000", "--seed", "7"],
     ["verify", "--seed", "1"],
     ["chsh", "--law", "bogus"],
     ["sweep", "--law", "quantum", "--steps", "many", "--out", "s.csv"],
     ["sweep", "--law", "table:law.csv", "--steps", "4097", "--out", "out.csv"],
+    ["sweep", "--help"],
 ]
 
 
@@ -158,7 +159,7 @@ def test_sweeps_of_different_laws_write_different_files():
     laws_by_digest: dict[str, set[str]] = {}
     for case in json.loads(CORPUS.read_text())["cases"]:
         argv = case["argv"]
-        if argv[0] == "sweep" and case["exit"] == 0:
+        if argv[0] == "sweep" and "files" in case:
             law = argv[argv.index("--law") + 1]
             for digest in case["files"].values():
                 laws_by_digest.setdefault(digest, set()).add(law)
